@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "chaos/sweep.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/prof.h"
@@ -24,38 +25,6 @@ struct CandidateOutcome {
   int shrink_runs = 0;
   std::string forensics;
 };
-
-/// Same digest the sweep attaches to failures (kept textually identical so
-/// forensics read the same across both drivers).
-std::string build_forensics(const core::RunResult& run,
-                            size_t trace_dump_lines) {
-  const auto sum = [&run](const char* name) {
-    return static_cast<unsigned long long>(run.metrics.counter_sum(name));
-  };
-  char line[256];
-  std::snprintf(
-      line, sizeof(line),
-      "metrics: rounds=%llu steps=%llu amr_skips=%llu converged=%llu "
-      "giveups=%llu backoffs=%llu scrub_repairs=%llu amr_backlog=%zu\n",
-      sum("fs_rounds_total"), sum("fs_converge_steps_total"),
-      sum("fs_amr_skips_total"), sum("fs_converged_total"),
-      sum("fs_giveups_total"), sum("fs_recovery_backoffs_total"),
-      sum("fs_scrub_repairs_total"), run.amr_backlog_final);
-  std::string out = line;
-  if (!run.trace_tail.empty()) {
-    std::snprintf(line, sizeof(line),
-                  "trace tail (last %zu lines, %llu overflowed):\n",
-                  trace_dump_lines,
-                  static_cast<unsigned long long>(run.trace_overflowed));
-    out += line;
-    out += run.trace_tail;
-  }
-  if (!run.span_forensics.empty()) {
-    out += "span tree of first violating version:\n";
-    out += run.span_forensics;
-  }
-  return out;
-}
 
 /// Per-candidate sub-seed: decorrelates (round, index) pairs from each
 /// other and from the base seed's own schedule stream.
@@ -199,8 +168,7 @@ SearchResult run_search(core::RunConfig config, const SearchOptions& options) {
     outcome.audit = run.audit;
     outcome.passed = run.audit.passed();
     if (!outcome.passed) {
-      outcome.forensics =
-          build_forensics(run, options.trace_dump_lines);
+      outcome.forensics = build_forensics(run, options.trace_dump_lines);
       if (options.shrink_failures) {
         ShrinkResult shrunk = shrink_schedule(
             candidate_config, candidate_config.faults, options.shrink);

@@ -7,10 +7,6 @@
 
 namespace pahoehoe::chaos {
 
-namespace {
-
-/// Compact digest of the convergence counters that matter when diagnosing a
-/// violated invariant, followed by the trailing trace window.
 std::string build_forensics(const core::RunResult& run,
                             size_t trace_dump_lines) {
   const auto sum = [&run](const char* name) {
@@ -46,8 +42,6 @@ std::string build_forensics(const core::RunResult& run,
   }
   return out;
 }
-
-}  // namespace
 
 std::string SweepResult::summary() const {
   char line[128];

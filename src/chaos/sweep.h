@@ -60,13 +60,19 @@ struct SweepResult {
 
   bool passed() const { return failures == 0; }
   /// Process exit code for CLI drivers: 0 only when every audited invariant
-  /// held in every seed. ANY violation — including a telemetry-drift-only
-  /// failure — is non-zero, so CI cannot green-light a run whose
-  /// observability layer disagrees with the network it watched.
+  /// held in every seed. ANY violation — including a run-global one such as
+  /// a blown message budget, whose versions all resolved — is non-zero.
   int exit_code() const { return passed() ? 0 : 1; }
   /// Short human-readable summary; failing seeds include the shrunk repro.
   std::string summary() const;
 };
+
+/// Forensics of one failing run, shared by the sweep and the search: a
+/// compact digest of the convergence counters that matter when diagnosing a
+/// violated invariant, the trailing trace window, the span tree of the first
+/// violating version, and the tail attribution when exemplars were on.
+std::string build_forensics(const core::RunResult& run,
+                            size_t trace_dump_lines);
 
 /// Run the sweep: for seed s in [base_seed, base_seed + seeds), generate a
 /// schedule, append it to config.faults, run, audit. `config` supplies

@@ -174,8 +174,6 @@ const char* to_string(InvariantViolation::Kind kind) {
       return "event-budget";
     case InvariantViolation::Kind::kMessageBudget:
       return "message-budget";
-    case InvariantViolation::Kind::kTelemetryDrift:
-      return "telemetry-drift";
   }
   return "?";
 }
@@ -419,19 +417,7 @@ static RunResult run_experiment_impl(const RunConfig& config) {
     result.given_up += static_cast<int>(cluster.fs(i).versions_given_up());
   }
 
-  // --- telemetry: reconcile, snapshot, and (on failure) capture forensics --
-  if (config.telemetry.inject_trace_drift && net.tracer().enabled()) {
-    // Phantom record: guaranteed stats-vs-tracer drift, so tests can lock
-    // down the behavior of a run whose ONLY failure is kTelemetryDrift.
-    net.tracer().record(sim.now(), net::TraceEvent::kSend, NodeId{}, NodeId{},
-                        wire::MessageType::kDecideLocsReq, 0);
-  }
-  if (const std::string drift = net.trace_consistency_report();
-      !drift.empty()) {
-    result.audit.violations.push_back(
-        {InvariantViolation::Kind::kTelemetryDrift, ObjectVersionId{}, drift});
-  }
-
+  // --- telemetry: snapshot, and (on failure) capture forensics ------------
   obs::Telemetry& tel = net.telemetry();
   tel.metrics.gauge("amr_backlog").set(static_cast<double>(tel.amr.backlog()));
   tel.metrics.gauge("amr_backlog_peak")

@@ -9,6 +9,8 @@
 //
 // Statistics record, per message type, the messages and bytes *sent* —
 // dropped messages count as sent, matching the paper's cost metric.
+// NetworkStats is the only message and byte accounting; the Tracer ring
+// (net/trace.h) is forensic and keeps no totals.
 #pragma once
 
 #include <array>
@@ -182,15 +184,9 @@ class Network {
   const obs::Telemetry& telemetry() const { return telemetry_; }
   sim::Simulator& simulator() { return sim_; }
 
-  /// Reconcile NetworkStats against the tracer's cumulative tallies. Empty
-  /// string when consistent (or tracing is off); otherwise one line per
-  /// drifted total. Meaningful only when tracing covered the whole run.
-  std::string trace_consistency_report() const;
-
  private:
   void deliver(const wire::Envelope& env);
   SimTime sample_latency();
-  void record_node_sent(NodeId from, wire::MessageType type, size_t bytes);
 
   sim::Simulator& sim_;
   NetworkConfig config_;
@@ -201,15 +197,6 @@ class Network {
   NetworkStats stats_;
   Tracer tracer_;
   obs::Telemetry telemetry_;
-  /// Cached registry handles for the per-(node, type) sent series, so the
-  /// send hot path pays one hash lookup instead of a labeled map lookup.
-  struct SentCounters {
-    obs::Counter* count = nullptr;
-    obs::Counter* bytes = nullptr;
-  };
-  std::unordered_map<NodeId,
-                     std::array<SentCounters, wire::kMessageTypeCount>>
-      sent_counters_;
 };
 
 /// Typed send helper for messages with a static kType.

@@ -26,7 +26,7 @@
 namespace pahoehoe::obs {
 
 /// Label dimensions of one metric instance, e.g.
-/// {{"node", "n101"}, {"type", "StoreFragmentReq"}}. Keys must be unique;
+/// {{"node", "n101"}, {"op", "decide_locs"}}. Keys must be unique;
 /// the registry normalizes ordering, so callers may list them in any order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
@@ -109,7 +109,7 @@ class MetricRegistry {
   }
 
   /// Stable multi-line dump, one metric per line in (name, labels) order:
-  ///   counter net_sent_count{node=n101,type=DecideLocsReq} 42
+  ///   counter fs_rounds_total{node=n101} 42
   ///   gauge amr_backlog 3 peak 17
   ///   histogram time_to_amr_s count 97 p50 61.234 p95 118.7 p99 140.2
   /// Used directly by the determinism tests: byte equality of to_text() is
