@@ -28,6 +28,13 @@ namespace pahoehoe::bench {
 /// stale baselines fail loudly instead of comparing garbage.
 inline constexpr int64_t kBenchSchemaVersion = 1;
 
+/// Keep `value` (and everything reachable from it) observable, so a timed
+/// loop's result cannot be optimized away.
+template <typename T>
+inline void do_not_optimize(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
+
 struct Column {
   std::string label;
   core::AggregateResult agg;

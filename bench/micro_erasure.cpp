@@ -1,31 +1,23 @@
-// Micro-benchmarks for the erasure codec (cf. the paper's §2 claim, after
+// Micro-benchmark for the erasure codec (cf. the paper's §2 claim, after
 // Plank et al. FAST'09, that modern erasure-code implementations are fast
 // enough for the put/get path).
 //
-// Two modes:
-//  - google-benchmark (default, or any --benchmark_* flag): the historical
-//    BM_* suite under whatever GF(2^8) kernel the dispatcher selected
-//    (override with PAHOEHOE_GF256_KERNEL).
-//  - JSON mode (any of --out / --selfcheck / --target-ms / --kernels):
-//    measures encode / decode-from-parity / raw mul_acc throughput for
-//    every supported kernel per (k, n, fragment_size) case, verifies the
-//    kernels stay byte-identical to scalar while doing so, and emits
-//    BENCH_erasure.json through the shared obs::JsonWriter path.
-//    --selfcheck re-parses the emitted file and validates its schema
-//    (the erasure_bench_smoke ctest runs this).
-#include <benchmark/benchmark.h>
-
+// Measures encode / decode-from-parity / raw mul_acc throughput for every
+// supported GF(2^8) kernel per (k, n, fragment_size) case, verifies the
+// kernels stay byte-identical to scalar while doing so, and emits
+// BENCH_erasure.json through the shared obs::JsonWriter path. --selfcheck
+// re-parses the emitted file and validates its schema (the
+// erasure_bench_smoke ctest runs this). Host-time throughput of the whole
+// simulator, SHA-256 and sibling regeneration included, is perfbench's job.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/flags.h"
 #include "common/rng.h"
-#include "common/sha256.h"
 #include "erasure/gf256.h"
 #include "erasure/reed_solomon.h"
 #include "obs/json.h"
@@ -40,93 +32,6 @@ Bytes make_value(size_t size) {
   for (auto& b : value) b = static_cast<uint8_t>(rng.next_u64());
   return value;
 }
-
-void BM_Encode(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  const size_t size = static_cast<size_t>(state.range(2));
-  erasure::ReedSolomon rs(k, n);
-  const Bytes value = make_value(size);
-  for (auto _ : state) {
-    auto frags = rs.encode(value);
-    benchmark::DoNotOptimize(frags);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(size));
-  state.SetLabel(gf256::to_string(gf256::active_kernel()));
-}
-BENCHMARK(BM_Encode)
-    ->Args({4, 12, 100 * 1024})   // the paper's default policy and object
-    ->Args({4, 12, 1024 * 1024})
-    ->Args({8, 12, 100 * 1024})
-    ->Args({16, 20, 100 * 1024});
-
-void BM_DecodeFromParity(benchmark::State& state) {
-  const size_t size = static_cast<size_t>(state.range(0));
-  erasure::ReedSolomon rs(4, 12);
-  const Bytes value = make_value(size);
-  const auto frags = rs.encode(value);
-  std::vector<erasure::IndexedFragment> input;
-  for (int i = 8; i < 12; ++i) input.push_back({i, &frags[static_cast<size_t>(i)]});
-  for (auto _ : state) {
-    Bytes out = rs.decode(input, size);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(size));
-  state.SetLabel(gf256::to_string(gf256::active_kernel()));
-}
-BENCHMARK(BM_DecodeFromParity)->Arg(100 * 1024)->Arg(1024 * 1024);
-
-void BM_DecodeSystematic(benchmark::State& state) {
-  // Decoding from the k data fragments is a pure reassembly.
-  const size_t size = static_cast<size_t>(state.range(0));
-  erasure::ReedSolomon rs(4, 12);
-  const Bytes value = make_value(size);
-  const auto frags = rs.encode(value);
-  std::vector<erasure::IndexedFragment> input;
-  for (int i = 0; i < 4; ++i) input.push_back({i, &frags[static_cast<size_t>(i)]});
-  for (auto _ : state) {
-    Bytes out = rs.decode(input, size);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(size));
-}
-BENCHMARK(BM_DecodeSystematic)->Arg(100 * 1024);
-
-void BM_RegenerateAllSiblings(benchmark::State& state) {
-  // The §4.2 sibling-recovery hot path: one k-read regenerates 8 fragments.
-  const size_t size = static_cast<size_t>(state.range(0));
-  erasure::ReedSolomon rs(4, 12);
-  const Bytes value = make_value(size);
-  const auto frags = rs.encode(value);
-  std::vector<erasure::IndexedFragment> input;
-  for (int i = 0; i < 4; ++i) input.push_back({i, &frags[static_cast<size_t>(i)]});
-  const std::vector<int> targets{4, 5, 6, 7, 8, 9, 10, 11};
-  for (auto _ : state) {
-    auto out = rs.regenerate(input, targets, size);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(size));
-  state.SetLabel(gf256::to_string(gf256::active_kernel()));
-}
-BENCHMARK(BM_RegenerateAllSiblings)->Arg(100 * 1024);
-
-void BM_Sha256(benchmark::State& state) {
-  const size_t size = static_cast<size_t>(state.range(0));
-  const Bytes data = make_value(size);
-  for (auto _ : state) {
-    auto digest = Sha256::hash(data);
-    benchmark::DoNotOptimize(digest);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(size));
-}
-BENCHMARK(BM_Sha256)->Arg(25600)->Arg(100 * 1024);
-
-// --- JSON mode --------------------------------------------------------------
 
 struct Case {
   int k;
@@ -144,7 +49,7 @@ constexpr Case kCases[] = {
 };
 
 /// Run `op` repeatedly until ~target_ms of wall clock elapsed; MB/s over
-/// `bytes_per_iter` (decimal MB, matching google-benchmark's bytes/sec).
+/// `bytes_per_iter` (decimal MB).
 template <typename Op>
 double measure_mb_s(int64_t target_ms, size_t bytes_per_iter, Op op) {
   // lint:wallclock-ok(bench harness measures host throughput, not sim state)
@@ -322,14 +227,15 @@ int run_json_mode(int argc, char** argv) {
       }
       KernelResult r;
       r.kernel = k;
-      r.encode_mb_s = measure_mb_s(target_ms, value_size,
-                                   [&] { benchmark::DoNotOptimize(rs.encode(value)); });
+      r.encode_mb_s = measure_mb_s(target_ms, value_size, [&] {
+        bench::do_not_optimize(rs.encode(value));
+      });
       r.decode_mb_s = measure_mb_s(target_ms, value_size, [&] {
-        benchmark::DoNotOptimize(rs.decode(parity_input, value_size));
+        bench::do_not_optimize(rs.decode(parity_input, value_size));
       });
       r.mul_acc_mb_s = measure_mb_s(target_ms, c.fragment_size, [&] {
         gf256::mul_acc(mul_dst, mul_src, 0x57);
-        benchmark::DoNotOptimize(mul_dst.data());
+        bench::do_not_optimize(mul_dst.data());
       });
       cr.results.push_back(r);
     }
@@ -409,26 +315,9 @@ int run_json_mode(int argc, char** argv) {
   return 0;
 }
 
-bool wants_json_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    for (const char* prefix :
-         {"--out", "--selfcheck", "--target-ms", "--kernels", "--help"}) {
-      if (std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 }  // namespace pahoehoe
 
 int main(int argc, char** argv) {
-  if (pahoehoe::wants_json_mode(argc, argv)) {
-    return pahoehoe::run_json_mode(argc, argv);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return pahoehoe::run_json_mode(argc, argv);
 }

@@ -276,8 +276,8 @@ static RunResult run_experiment_impl(const RunConfig& config) {
   obs::ProfScope prof_run("run_experiment");
   sim::Simulator sim(config.seed);
   net::Network net(sim, config.network);
-  // Tracing must start before any traffic: the stats-vs-tracer
-  // reconciliation below only holds when the tracer saw the whole run.
+  // Tracing starts before any traffic, so the forensics a failed audit
+  // captures below (ring tail, overflow count) account for the whole run.
   if (config.telemetry.trace_capacity > 0) {
     net.tracer().enable(config.telemetry.trace_capacity);
   }

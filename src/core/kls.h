@@ -26,8 +26,6 @@ class KeyLookupServer : public Server {
   const storage::TimestampStore& timestamp_store() const { return store_ts_; }
   const storage::MetaStore& meta_store() const { return store_meta_; }
 
-  uint64_t decide_locs_served() const { return decide_locs_served_; }
-
  protected:
   void dispatch(const wire::Envelope& env) override;
 
@@ -45,7 +43,6 @@ class KeyLookupServer : public Server {
 
   storage::TimestampStore store_ts_;
   storage::MetaStore store_meta_;
-  uint64_t decide_locs_served_ = 0;
 
   // Registry handles (labeled {node, op}); cached once in the constructor.
   obs::Counter* m_decide_locs_ = nullptr;

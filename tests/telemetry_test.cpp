@@ -302,6 +302,32 @@ TEST(TelemetryHarnessTest, FailedAuditCapturesTraceForensics) {
   EXPECT_GT(result.trace_overflowed, 0u);
 }
 
+TEST(TelemetryHarnessTest, KlsRequestCounterMatchesDeliveredKlsRequests) {
+  using wire::MessageType;
+  const std::vector<core::FaultSpec> fault_sets[] = {
+      {},
+      {core::FaultSpec::kls_blackout(0, 0, 0, testing::minutes(10))},
+      {core::FaultSpec::uniform_loss(0.05)},
+  };
+  for (const auto& faults : fault_sets) {
+    SCOPED_TRACE(faults.empty() ? "failure-free"
+                                : core::to_repro_string(faults.front()));
+    core::RunConfig config = small_config();
+    config.workload.num_puts = 20;
+    config.faults = faults;
+    const core::RunResult result = core::run_experiment(config);
+    uint64_t delivered = 0;
+    for (const MessageType t :
+         {MessageType::kDecideLocsReq, MessageType::kFsDecideLocsReq,
+          MessageType::kStoreMetadataReq, MessageType::kRetrieveTsReq,
+          MessageType::kKlsConvergeReq}) {
+      delivered += result.stats.of(t).delivered_count;
+    }
+    EXPECT_GT(delivered, 0u);
+    EXPECT_EQ(result.metrics.counter_sum("kls_requests_total"), delivered);
+  }
+}
+
 TEST(TelemetryDeterminismTest, AggregateTelemetryIdenticalAcrossJobCounts) {
   core::RunConfig config = small_config();
   config.workload.num_puts = 4;
