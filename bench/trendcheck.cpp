@@ -23,7 +23,9 @@
 // A missing baseline for this host class, or a baseline generated with
 // different flags/kernels, is a SKIP with notice (exit 0) so CI on exotic
 // runners degrades gracefully; --require turns skips into failures.
-// --write-baseline installs the fresh documents as the new baselines.
+// --write-baseline installs the fresh documents as the new baselines (the
+// telemetry one without its per-variant timeline arrays, which no gate
+// reads).
 // --selftest proves the gate engine itself on synthetic documents,
 // including that an injected 20% encode-throughput regression fails.
 //
@@ -384,6 +386,60 @@ bool copy_file(const std::string& from, const std::string& to) {
   return true;
 }
 
+/// Re-emit a parsed document (objects in key order). Integral numbers go
+/// out as integers so integer micros survive exactly. False on a null,
+/// which no JsonWriter-built bench document contains.
+bool write_value(obs::JsonWriter& w, const obs::JsonValue& v) {
+  switch (v.kind) {
+    case obs::JsonValue::Kind::kNull:
+      return false;
+    case obs::JsonValue::Kind::kBool:
+      w.value(v.boolean);
+      return true;
+    case obs::JsonValue::Kind::kNumber:
+      if (v.number == std::trunc(v.number) && std::fabs(v.number) < 0x1p53) {
+        w.value(static_cast<int64_t>(v.number));
+      } else {
+        w.value(v.number);
+      }
+      return true;
+    case obs::JsonValue::Kind::kString:
+      w.value(v.string);
+      return true;
+    case obs::JsonValue::Kind::kArray:
+      w.begin_array();
+      for (const obs::JsonValue& e : v.array) {
+        if (!write_value(w, e)) return false;
+      }
+      w.end_array();
+      return true;
+    case obs::JsonValue::Kind::kObject:
+      w.begin_object();
+      for (const auto& [k, e] : v.object) {
+        w.key(k);
+        if (!write_value(w, e)) return false;
+      }
+      w.end_object();
+      return true;
+  }
+  return false;
+}
+
+/// The baseline form of a fresh telemetry document: each variant's
+/// `timeline` dropped (no gate reads the sampled arrays, and they are most
+/// of the document's bytes). nullopt if the document holds a null.
+std::optional<obs::JsonWriter> telemetry_baseline_of(obs::JsonValue doc) {
+  const auto variants = doc.object.find("variants");
+  if (variants != doc.object.end()) {
+    for (obs::JsonValue& variant : variants->second.array) {
+      variant.object.erase("timeline");
+    }
+  }
+  obs::JsonWriter w;
+  if (!write_value(w, doc)) return std::nullopt;
+  return w;
+}
+
 // --- selftest ---------------------------------------------------------------
 
 /// A miniature but shape-complete erasure document (two kernels, one case).
@@ -425,7 +481,7 @@ std::string synth_erasure_text() {
 /// one of which spends 600 s in recovery_backoff — so the ranked list
 /// names recovery_backoff and the worst-K leads with obj-7.
 obs::AttributionReport synth_attribution() {
-  obs::ExemplarStore store(/*worst_k=*/4, /*reservoir=*/16);
+  QuantileSketch latency_s;
   std::vector<obs::VersionCriticalPath> paths;
   for (int i = 0; i < 8; ++i) {
     obs::VersionCriticalPath path;
@@ -437,12 +493,14 @@ obs::AttributionReport synth_attribution() {
         obs::PathComponent::kRecoveryBackoff)] =
         (i == 7 ? 600 : 1) * kMicrosPerSecond;
     path.confirm_time = path.ack_time + path.total();
-    store.add(obs::Exemplar{path.ov, /*seed=*/5000, path.total(),
-                            path.components});
+    latency_s.add(static_cast<double>(path.total()) /
+                  static_cast<double>(kMicrosPerSecond));
     paths.push_back(path);
   }
-  obs::AttributionBuilder builder(store);
-  for (const obs::VersionCriticalPath& path : paths) builder.add(path);
+  obs::AttributionBuilder builder(latency_s);
+  for (const obs::VersionCriticalPath& path : paths) {
+    builder.add(path, /*seed=*/5000);
+  }
   return builder.finish();
 }
 
@@ -526,6 +584,26 @@ int run_selftest() {
   Outcome tsame = compare_telemetry(tfresh, tbase);
   if (!tsame.comparable || tsame.gates == 0 || !tsame.failures.empty()) {
     return selftest_fail("identical telemetry documents must pass");
+  }
+  // --write-baseline drops the timelines and nothing else: integer micros
+  // beyond %.10g's digits survive, and the result gates like the original.
+  obs::JsonValue timed = tbase;
+  obs::JsonValue& timed_variant = timed.object["variants"].array[0];
+  timed_variant.object["timeline"] = *obs::json_parse("{\"t_s\": [5, 10]}");
+  timed_variant.object["tail_attribution"].object["tail"].object["latency_us"]
+      .number = 1234567890123.0;
+  const std::optional<obs::JsonWriter> stripped_text =
+      telemetry_baseline_of(timed);
+  const std::optional<obs::JsonValue> stripped =
+      stripped_text.has_value() ? obs::json_parse(stripped_text->str())
+                                : std::nullopt;
+  if (!stripped.has_value() ||
+      stripped->object.at("variants").array[0].find("timeline") != nullptr ||
+      stripped_text->str().find("1234567890123") == std::string::npos ||
+      compare_telemetry(tfresh, *stripped).gates != tsame.gates ||
+      !compare_telemetry(tfresh, *stripped).failures.empty()) {
+    return selftest_fail(
+        "--write-baseline must drop timelines and keep every gated value");
   }
   tfresh.object["variants"]
       .array[0]
@@ -651,7 +729,20 @@ int run(int argc, char** argv) {
           std::pair{telemetry_path, telemetry_baseline}}) {
       if (fresh.empty()) continue;
       const std::optional<LoadedDoc> doc = load_checked(fresh, "fresh");
-      if (!doc.has_value() || !copy_file(fresh, baseline)) return 1;
+      if (!doc.has_value()) return 1;
+      bool written = false;
+      if (baseline == telemetry_baseline) {
+        const std::optional<obs::JsonWriter> w =
+            telemetry_baseline_of(doc->doc);
+        if (!w.has_value()) {
+          std::fprintf(stderr, "trendcheck: fresh %s holds a null value\n",
+                       fresh.c_str());
+        }
+        written = w.has_value() && w->write_file(baseline);
+      } else {
+        written = copy_file(fresh, baseline);
+      }
+      if (!written) return 1;
       std::printf("trendcheck: wrote %s (build %s)\n", baseline.c_str(),
                   doc_sha(doc->doc).c_str());
     }

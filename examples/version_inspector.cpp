@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   if (worst > 0) {
     // Exemplar-driven selection: the report's worst-K already names the
     // versions; jump straight to their span trees.
-    const std::vector<obs::Exemplar>& top = result.amr_exemplars.worst();
+    const std::vector<obs::Exemplar>& top = result.attribution.top;
     if (top.empty()) {
       std::fprintf(stderr,
                    "flag error: --worst=%lld but the run retained no "

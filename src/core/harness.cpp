@@ -281,8 +281,8 @@ static RunResult run_experiment_impl(const RunConfig& config) {
   if (config.telemetry.trace_capacity > 0) {
     net.tracer().enable(config.telemetry.trace_capacity);
   }
-  // Exemplars are carved out of the span tracer's critical paths, so they
-  // imply span tracing. Both are pure observers.
+  // Attribution reads the span tracer's critical paths, so exemplars imply
+  // span tracing. Both are pure observers.
   if (config.telemetry.spans || config.telemetry.exemplars) {
     net.telemetry().spans.enable(&sim, config.telemetry.max_spans_per_version);
   }
@@ -307,8 +307,7 @@ static RunResult run_experiment_impl(const RunConfig& config) {
                   static_cast<double>(cluster.total_pending_versions()),
                   static_cast<double>(net.stats().total_sent_count()),
                   static_cast<double>(net.stats().total_sent_bytes())};
-        },
-        config.telemetry.max_samples);
+        });
   }
 
   {
@@ -445,7 +444,6 @@ static RunResult run_experiment_impl(const RunConfig& config) {
   for (const obs::VersionCriticalPath& path : tel.spans.critical_paths()) {
     result.critical_path.add(path);
   }
-  result.critical_paths = tel.spans.critical_paths();
   if (!result.audit.passed() && tel.spans.enabled()) {
     // Span forensics: the causal tree of the first violation that names a
     // traced version explains *why* it missed AMR, not just that it did.
@@ -459,40 +457,9 @@ static RunResult run_experiment_impl(const RunConfig& config) {
   if (config.telemetry.exemplars) {
     // Built from already-recorded telemetry after the simulation quiesced:
     // a pure side channel, so exemplars on vs. off cannot change the run.
-    const TelemetryOptions& topt = config.telemetry;
-    result.amr_exemplars =
-        obs::ExemplarStore(topt.exemplar_worst_k, topt.exemplar_reservoir);
-    result.put_op_exemplars =
-        obs::ExemplarStore(topt.exemplar_worst_k, topt.exemplar_reservoir);
-    result.get_op_exemplars =
-        obs::ExemplarStore(topt.exemplar_worst_k, topt.exemplar_reservoir);
-    for (const obs::VersionCriticalPath& path : result.critical_paths) {
-      obs::Exemplar e;
-      e.ov = path.ov;
-      e.seed = config.seed;
-      e.latency_micros = path.total();
-      e.components = path.components;
-      result.amr_exemplars.add(e);
-    }
-    for (const OpLatency& op : driver.put_latencies()) {
-      if (!op.ok) continue;
-      obs::Exemplar e;
-      e.ov = op.ov;
-      e.seed = config.seed;
-      e.latency_micros = op.end - op.start;
-      result.put_op_exemplars.add(e);
-    }
-    for (const OpLatency& op : driver.get_latencies()) {
-      if (!op.ok) continue;
-      obs::Exemplar e;
-      e.ov = op.ov;
-      e.seed = config.seed;
-      e.latency_micros = op.end - op.start;
-      result.get_op_exemplars.add(e);
-    }
-    obs::AttributionBuilder builder(result.amr_exemplars);
-    for (const obs::VersionCriticalPath& path : result.critical_paths) {
-      builder.add(path);
+    obs::AttributionBuilder builder(result.time_to_amr_s);
+    for (const obs::VersionCriticalPath& path : tel.spans.critical_paths()) {
+      builder.add(path, config.seed);
     }
     result.attribution = builder.finish();
   }
@@ -527,15 +494,6 @@ AggregateResult run_many(RunConfig config, int num_seeds, uint64_t base_seed,
 
   AggregateResult agg;
   agg.seeds = num_seeds;
-  if (config.telemetry.exemplars) {
-    // Match per-run store caps so the seed-order merges below are legal.
-    agg.amr_exemplars = obs::ExemplarStore(config.telemetry.exemplar_worst_k,
-                                           config.telemetry.exemplar_reservoir);
-    agg.put_op_exemplars = obs::ExemplarStore(
-        config.telemetry.exemplar_worst_k, config.telemetry.exemplar_reservoir);
-    agg.get_op_exemplars = obs::ExemplarStore(
-        config.telemetry.exemplar_worst_k, config.telemetry.exemplar_reservoir);
-  }
   for (const RunResult& r : results) {
     agg.msg_count.add(static_cast<double>(r.stats.total_sent_count()));
     agg.msg_bytes.add(static_cast<double>(r.stats.total_sent_bytes()));
@@ -570,19 +528,17 @@ AggregateResult run_many(RunConfig config, int num_seeds, uint64_t base_seed,
     agg.amr_confirmed.add(static_cast<double>(r.amr_confirmed));
     agg.amr_backlog_final.add(static_cast<double>(r.amr_backlog_final));
     agg.critical_path.merge(r.critical_path);
-    agg.amr_exemplars.merge(r.amr_exemplars);
-    agg.put_op_exemplars.merge(r.put_op_exemplars);
-    agg.get_op_exemplars.merge(r.get_op_exemplars);
     agg.profile.merge(r.profile);
   }
   if (config.telemetry.exemplars) {
     // Pooled attribution is two-pass: the merged sketch above fixes the p95
     // threshold, then every seed's critical paths are bucketed against it,
     // walked in seed order (pure integer accumulation).
-    obs::AttributionBuilder builder(agg.amr_exemplars);
-    for (const RunResult& r : results) {
-      for (const obs::VersionCriticalPath& path : r.critical_paths) {
-        builder.add(path);
+    obs::AttributionBuilder builder(agg.time_to_amr_s);
+    for (size_t s = 0; s < results.size(); ++s) {
+      for (const obs::VersionCriticalPath& path :
+           results[s].spans.critical_paths()) {
+        builder.add(path, base_seed + s);
       }
     }
     agg.attribution = builder.finish();

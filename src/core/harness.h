@@ -80,7 +80,6 @@ struct TelemetryOptions {
   /// events are counted by RunResult::events and can extend end_time by up
   /// to one interval (see DESIGN.md).
   SimTime sample_interval = 0;
-  size_t max_samples = 4096;
   /// Enable net::Tracer with this ring capacity; 0 disables. The ring is
   /// forensic only (message counts come from RunResult::stats): a failed
   /// audit attaches its trailing window to the RunResult.
@@ -94,14 +93,12 @@ struct TelemetryOptions {
   bool spans = false;
   /// Spans stored per version before truncation (see SpanTracer::enable).
   size_t max_spans_per_version = 8192;
-  /// Tail-latency exemplars + cohort attribution (obs/exemplar.h,
-  /// obs/attribution.h). Implies span tracing (the exemplar source). Like
-  /// spans, a pure observer: the stores are built from already-recorded
+  /// Tail-latency cohort attribution with worst-K exemplars
+  /// (obs/attribution.h). Implies span tracing (the critical-path source).
+  /// Like spans, a pure observer: the report is built from already-recorded
   /// telemetry after the run, so enabling this never perturbs a run
   /// (exemplar_test digests runs with it on vs. off).
   bool exemplars = false;
-  size_t exemplar_worst_k = obs::ExemplarStore::kDefaultWorstK;
-  size_t exemplar_reservoir = obs::ExemplarStore::kDefaultReservoir;
 };
 
 struct RunConfig {
@@ -199,24 +196,19 @@ struct RunResult {
   /// and telemetry.trace_capacity was > 0.
   std::string trace_tail;
   uint64_t trace_overflowed = 0;  ///< records evicted from the trace ring
-  /// Per-version critical-path decompositions in confirmation order, and
-  /// their mergeable aggregate (empty unless telemetry.spans was on).
-  std::vector<obs::VersionCriticalPath> critical_paths;
+  /// Mergeable aggregate of the per-version critical-path decompositions
+  /// (empty unless telemetry.spans was on).
   obs::CriticalPathAggregate critical_path;
   /// The run's span tracer, moved out of the Network at the end of the run
-  /// so callers can render trees / export Perfetto traces.
+  /// so callers can render trees / export Perfetto traces and read the
+  /// per-version critical paths (spans.critical_paths()).
   obs::SpanTracer spans;
   /// Forensics: span tree of the first audit violation that names a traced
   /// version (empty when the audit passed or spans were off).
   std::string span_forensics;
-  /// Tail-latency exemplars (empty unless telemetry.exemplars): put-ack →
-  /// AMR latency witnesses with exact critical-path components, plus
-  /// client-visible per-op put/get witnesses (all-zero components).
-  obs::ExemplarStore amr_exemplars;
-  obs::ExemplarStore put_op_exemplars;
-  obs::ExemplarStore get_op_exemplars;
-  /// Tail (≥p95) vs. body cohort attribution over this run's critical
-  /// paths (empty unless telemetry.exemplars).
+  /// Tail (≥p95 of time_to_amr_s) vs. body cohort attribution over this
+  /// run's critical paths, with the worst-K exemplars (empty unless
+  /// telemetry.exemplars).
   obs::AttributionReport attribution;
   /// Host wall-clock phase breakdown of this run (empty unless
   /// obs::prof profiling is enabled). Pure side channel — excluded from
@@ -263,13 +255,10 @@ struct AggregateResult {
   /// Per-component critical-path aggregate merged in seed order —
   /// byte-identical to_text() for every jobs value.
   obs::CriticalPathAggregate critical_path;
-  /// Exemplar stores merged in seed order (retention is additionally
-  /// insertion-order independent, DESIGN.md §13) and the pooled tail
-  /// attribution built from the merged sketch's p95 over every seed's
-  /// critical paths. Empty unless telemetry.exemplars.
-  obs::ExemplarStore amr_exemplars;
-  obs::ExemplarStore put_op_exemplars;
-  obs::ExemplarStore get_op_exemplars;
+  /// Pooled tail attribution: the merged time_to_amr_s fixes the p95, then
+  /// every seed's critical paths are walked in seed order (worst-K is
+  /// insertion-order independent, DESIGN.md §13). Empty unless
+  /// telemetry.exemplars.
   obs::AttributionReport attribution;
   /// Per-seed wall-clock profiles merged in seed order (empty unless
   /// profiling was enabled). Side channel only — never digested.

@@ -16,7 +16,7 @@ void AmrTracker::on_put_acked(const ObjectVersionId& ov, SimTime when) {
 }
 
 void AmrTracker::on_amr_confirmed(const ObjectVersionId& ov, SimTime when) {
-  if (!confirmed_.emplace(ov, when).second) return;  // already confirmed
+  if (!confirmed_.emplace(ov).second) return;  // already confirmed
   ++confirmed_count_;
   auto it = pending_.find(ov);
   if (it == pending_.end()) return;  // never acked (or ack still to come)

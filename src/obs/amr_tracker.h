@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 
 #include "common/stats.h"
 #include "common/types.h"
@@ -49,7 +50,7 @@ class AmrTracker {
 
  private:
   std::map<ObjectVersionId, SimTime> pending_;    // acked, not yet confirmed
-  std::map<ObjectVersionId, SimTime> confirmed_;  // first confirmation time
+  std::set<ObjectVersionId> confirmed_;           // confirmed at least once
   uint64_t acked_ = 0;
   uint64_t confirmed_count_ = 0;
   size_t backlog_peak_ = 0;

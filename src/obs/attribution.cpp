@@ -76,6 +76,30 @@ bool cohort_from_json(const JsonValue& v, CohortTotals* out) {
 
 }  // namespace
 
+std::string exemplar_to_text(const Exemplar& e) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "key=%s ts=%lld/%u seed=%llu latency_us=%lld"
+                " nw=%lld rs=%lld rb=%lld sp=%lld",
+                e.ov.key.value.c_str(),
+                static_cast<long long>(e.ov.ts.wall_micros), e.ov.ts.proxy,
+                static_cast<unsigned long long>(e.seed),
+                static_cast<long long>(e.latency_micros),
+                static_cast<long long>(e.components[0]),
+                static_cast<long long>(e.components[1]),
+                static_cast<long long>(e.components[2]),
+                static_cast<long long>(e.components[3]));
+  return buf;
+}
+
+bool worse_than(const Exemplar& a, const Exemplar& b) {
+  if (a.latency_micros != b.latency_micros) {
+    return a.latency_micros > b.latency_micros;
+  }
+  if (a.ov != b.ov) return a.ov < b.ov;
+  return a.seed < b.seed;
+}
+
 double CohortTotals::mean_s() const {
   if (versions == 0) return 0.0;
   return micros_to_s(latency_micros) / static_cast<double>(versions);
@@ -87,17 +111,15 @@ double CohortTotals::component_mean_s(PathComponent c) const {
          static_cast<double>(versions);
 }
 
-AttributionBuilder::AttributionBuilder(const ExemplarStore& store) {
-  const QuantileSketch& sketch = store.latency_s();
-  report_.p50_s = sketch.quantile(0.5);
-  report_.p95_s = sketch.quantile(0.95);
-  report_.p99_s = sketch.quantile(0.99);
-  report_.max_s = sketch.max();
-  report_.tail_threshold_s = sketch.quantile(0.95);
-  report_.top = store.worst();
+AttributionBuilder::AttributionBuilder(const QuantileSketch& latency_s) {
+  report_.p50_s = latency_s.quantile(0.5);
+  report_.p95_s = latency_s.quantile(0.95);
+  report_.p99_s = latency_s.quantile(0.99);
+  report_.max_s = latency_s.max();
+  report_.tail_threshold_s = latency_s.quantile(0.95);
 }
 
-void AttributionBuilder::add(const VersionCriticalPath& path) {
+void AttributionBuilder::add(const VersionCriticalPath& path, uint64_t seed) {
   const SimTime total = path.total();
   // Membership is tested in the same double space the sketch was fed, so
   // the max-latency version always lands in the tail even when p95 == max.
@@ -109,6 +131,13 @@ void AttributionBuilder::add(const VersionCriticalPath& path) {
   cohort.latency_micros += static_cast<uint64_t>(total);
   for (size_t i = 0; i < kPathComponentCount; ++i) {
     cohort.component_micros[i] += static_cast<uint64_t>(path.components[i]);
+  }
+  const Exemplar e{path.ov, seed, total, path.components};
+  std::vector<Exemplar>& top = report_.top;
+  auto it = std::lower_bound(top.begin(), top.end(), e, worse_than);
+  if (it != top.end() || top.size() < AttributionReport::kWorstK) {
+    top.insert(it, e);
+    if (top.size() > AttributionReport::kWorstK) top.pop_back();
   }
 }
 

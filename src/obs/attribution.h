@@ -1,18 +1,24 @@
 // Cohort attribution: turn "p99 is high" into "these versions, this
 // component".
 //
-// The engine splits every resolved version (its VersionCriticalPath) into
-// two cohorts around the exemplar store's p95 latency — tail (latency ≥
-// p95) vs. body — and compares the cohorts' critical-path component means.
-// The per-component gap (tail mean − body mean) is ranked by its share of
-// the total positive gap, which is exactly the "83% of the gap is
-// recovery_backoff" sentence the report renders. A differential mode diffs
-// two reports (fresh run vs. baseline) for trendcheck REGRESSION output.
+// The engine reads the two records a run already keeps: the AmrTracker's
+// put-ack → AMR latency sketch and the span tracer's per-version critical
+// paths. It splits every resolved version (its VersionCriticalPath) into
+// two cohorts around the sketch's p95 latency — tail (latency ≥ p95) vs.
+// body — and compares the cohorts' critical-path component means. The
+// per-component gap (tail mean − body mean) is ranked by its share of the
+// total positive gap, which is exactly the "83% of the gap is
+// recovery_backoff" sentence the report renders. Alongside, it keeps the
+// worst-K versions as exemplars: concrete {version, latency, components,
+// seed} witnesses that trace the percentile back to the versions behind it
+// (Dapper-style histogram exemplars). A differential mode diffs two
+// reports (fresh run vs. baseline) for trendcheck REGRESSION output.
 //
 // Determinism (DESIGN.md §13): the threshold comes from the *merged*
 // latency sketch (bucket-wise exact, so identical for any --jobs); cohort
-// accumulation is pure integer micros walked in seed order; floats appear
-// only at report time as derived quantities of those integers.
+// accumulation is pure integer micros walked in seed order; worst-K is a
+// total order, so its retained set is insertion-order independent; floats
+// appear only at report time as derived quantities of those integers.
 #pragma once
 
 #include <array>
@@ -21,11 +27,33 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
+#include "common/types.h"
 #include "obs/critical_path.h"
-#include "obs/exemplar.h"
 #include "obs/json.h"
 
 namespace pahoehoe::obs {
+
+/// One retained witness: a resolved version's put-ack → AMR latency and its
+/// critical-path components, which telescope exactly (sum(components) ==
+/// latency_micros, the integer identity VersionCriticalPath guarantees).
+struct Exemplar {
+  ObjectVersionId ov;
+  uint64_t seed = 0;
+  SimTime latency_micros = 0;
+  std::array<SimTime, kPathComponentCount> components{};
+
+  friend bool operator==(const Exemplar&, const Exemplar&) = default;
+};
+
+/// Worst-first total order: latency desc, then version id asc, then seed
+/// asc — the "value-then-version-id" tie-break that keeps worst-K stable
+/// when latencies collide.
+bool worse_than(const Exemplar& a, const Exemplar& b);
+
+/// One-line render, no trailing newline:
+///   key=obj-3 ts=1234/7 seed=5007 latency_us=610200000 nw=.. rs=.. rb=.. sp=..
+std::string exemplar_to_text(const Exemplar& e);
 
 /// Exact integer accumulation for one cohort. All micros; means are derived
 /// at render time only.
@@ -48,6 +76,8 @@ struct ComponentGap {
 };
 
 struct AttributionReport {
+  static constexpr size_t kWorstK = 8;
+
   uint64_t versions = 0;
   double p50_s = 0;
   double p95_s = 0;
@@ -58,7 +88,7 @@ struct AttributionReport {
   CohortTotals body;
   /// All components, ranked by gap_share desc (ties: component enum order).
   std::vector<ComponentGap> ranked;
-  /// Worst-K exemplars carried over from the store, worst first.
+  /// The kWorstK worst versions, worst first (worse_than order).
   std::vector<Exemplar> top;
 
   bool empty() const { return versions == 0; }
@@ -69,14 +99,16 @@ struct AttributionReport {
   std::string to_text() const;
 };
 
-/// Two-pass construction: the store (already merged across seeds) fixes the
-/// p95 threshold, then every version's critical path is bucketed against
-/// it. add() is pure integer accumulation; call in seed order.
+/// Two-pass construction: the latency sketch (already merged across seeds)
+/// fixes the p95 threshold, then every version's critical path is bucketed
+/// against it and offered to the worst-K. add() is pure integer
+/// accumulation; call in seed order.
 class AttributionBuilder {
  public:
-  explicit AttributionBuilder(const ExemplarStore& store);
+  explicit AttributionBuilder(const QuantileSketch& latency_s);
 
-  void add(const VersionCriticalPath& path);
+  /// `seed` is the run that traced `path`; it tags the path's exemplar.
+  void add(const VersionCriticalPath& path, uint64_t seed);
   AttributionReport finish() const;
 
  private:

@@ -1,10 +1,8 @@
-// Determinism and pure-observer contract for tail-latency exemplars and
-// cohort attribution (DESIGN.md §13):
+// Determinism and pure-observer contract for tail-latency cohort
+// attribution and its worst-K exemplars (DESIGN.md §13):
 //  * worst-K is a total order with value-then-version-id tie-breaks, so
 //    colliding latencies retain a unique, insertion-order-independent set;
-//  * stores merge to the same bytes in any order (KMV reservoir + sorted
-//    worst-K union);
-//  * run_many renders worst-K and attribution byte-identically for
+//  * run_many renders attribution and worst-K byte-identically for
 //    jobs ∈ {1, 2, 8};
 //  * enabling exemplars leaves run digests unchanged (the prof_test
 //    side-channel contract);
@@ -18,114 +16,85 @@
 
 #include "core/harness.h"
 #include "obs/attribution.h"
-#include "obs/exemplar.h"
 
 namespace pahoehoe {
 namespace {
 
-obs::Exemplar make_exemplar(const std::string& key, SimTime ts_wall,
-                            uint64_t seed, SimTime latency) {
-  obs::Exemplar e;
-  e.ov = ObjectVersionId{Key{key}, Timestamp{ts_wall, 101}};
-  e.seed = seed;
-  e.latency_micros = latency;
+struct SeededPath {
+  obs::VersionCriticalPath path;
+  uint64_t seed = 0;
+};
+
+SeededPath make_path(const std::string& key, SimTime ts_wall, uint64_t seed,
+                     SimTime latency) {
+  SeededPath p;
+  p.path.ov = ObjectVersionId{Key{key}, Timestamp{ts_wall, 101}};
   // Telescoping components: all of it in recovery_backoff.
-  e.components[static_cast<size_t>(obs::PathComponent::kRecoveryBackoff)] =
-      latency;
-  return e;
+  p.path.components[static_cast<size_t>(
+      obs::PathComponent::kRecoveryBackoff)] = latency;
+  p.path.confirm_time = p.path.ack_time + latency;
+  p.seed = seed;
+  return p;
 }
 
-TEST(ExemplarStore, WorstKIsValueThenVersionIdOrdered) {
-  obs::ExemplarStore store(/*worst_k=*/3, /*reservoir=*/8);
-  store.add(make_exemplar("obj-2", 2'000'000, 7, 500));
-  store.add(make_exemplar("obj-0", 0, 7, 900));
-  store.add(make_exemplar("obj-3", 3'000'000, 7, 700));
-  store.add(make_exemplar("obj-1", 1'000'000, 7, 600));  // evicted: 4th worst
-
-  ASSERT_EQ(store.worst().size(), 3u);
-  EXPECT_EQ(store.worst()[0].ov.key.value, "obj-0");  // 900
-  EXPECT_EQ(store.worst()[1].ov.key.value, "obj-3");  // 700
-  EXPECT_EQ(store.worst()[2].ov.key.value, "obj-1");  // 600
-  EXPECT_EQ(store.count(), 4u);  // the sketch still saw every add
+/// The harness's two passes: every path's latency into the sketch, then
+/// every path through the builder in the given order.
+obs::AttributionReport attribute(const std::vector<SeededPath>& paths) {
+  QuantileSketch latency_s;
+  for (const SeededPath& p : paths) {
+    latency_s.add(static_cast<double>(p.path.total()) /
+                  static_cast<double>(kMicrosPerSecond));
+  }
+  obs::AttributionBuilder builder(latency_s);
+  for (const SeededPath& p : paths) builder.add(p.path, p.seed);
+  return builder.finish();
 }
 
-TEST(ExemplarStore, TieBreakIsStableWhenLatenciesCollide) {
+TEST(Attribution, WorstKIsValueThenVersionIdOrdered) {
+  // Nine versions, latencies 100..900 µs in scrambled order: K = 8 keeps
+  // all but the 100 µs one, worst first.
+  std::vector<SeededPath> paths;
+  for (int i = 0; i < 9; ++i) {
+    paths.push_back(make_path("obj-" + std::to_string(i),
+                              i * kMicrosPerSecond, 7,
+                              ((i * 5) % 9 + 1) * 100));
+  }
+  const obs::AttributionReport report = attribute(paths);
+
+  ASSERT_EQ(report.top.size(), obs::AttributionReport::kWorstK);
+  EXPECT_EQ(report.top.front().latency_micros, 900);
+  EXPECT_EQ(report.top.back().latency_micros, 200);
+  for (size_t i = 1; i < report.top.size(); ++i) {
+    EXPECT_TRUE(obs::worse_than(report.top[i - 1], report.top[i]));
+  }
+  EXPECT_EQ(report.top.front().ov.key.value, "obj-7");  // (7*5)%9+1 = 9
+  EXPECT_EQ(report.versions, 9u);  // every version still counted
+}
+
+TEST(Attribution, TieBreakIsStableWhenLatenciesCollide) {
   // Same latency everywhere: retention must fall back to (version id, seed)
   // and be independent of insertion order.
-  std::vector<obs::Exemplar> all;
-  for (int i = 0; i < 6; ++i) {
-    all.push_back(make_exemplar("obj-" + std::to_string(i),
-                                i * kMicrosPerSecond, /*seed=*/42, 1000));
+  std::vector<SeededPath> all;
+  for (int i = 0; i < 9; ++i) {
+    all.push_back(make_path("obj-" + std::to_string(i), i * kMicrosPerSecond,
+                            /*seed=*/42, 1000));
   }
-  all.push_back(make_exemplar("obj-0", 0, /*seed=*/43, 1000));  // seed tie
+  all.push_back(make_path("obj-0", 0, /*seed=*/43, 1000));  // seed tie
 
-  obs::ExemplarStore forward(/*worst_k=*/4, /*reservoir=*/4);
-  for (const obs::Exemplar& e : all) forward.add(e);
-  obs::ExemplarStore backward(/*worst_k=*/4, /*reservoir=*/4);
-  for (auto it = all.rbegin(); it != all.rend(); ++it) backward.add(*it);
+  const obs::AttributionReport forward = attribute(all);
+  const obs::AttributionReport backward =
+      attribute(std::vector<SeededPath>(all.rbegin(), all.rend()));
 
   EXPECT_EQ(forward.to_text(), backward.to_text());
-  ASSERT_EQ(forward.worst().size(), 4u);
+  EXPECT_EQ(forward.top, backward.top);
+  ASSERT_EQ(forward.top.size(), obs::AttributionReport::kWorstK);
   // All latencies equal -> version id ascending, seed breaking the ov tie.
-  EXPECT_EQ(forward.worst()[0].seed, 42u);
-  EXPECT_EQ(forward.worst()[0].ov.key.value, "obj-0");
-  EXPECT_EQ(forward.worst()[1].seed, 43u);
-  EXPECT_EQ(forward.worst()[1].ov.key.value, "obj-0");
-  EXPECT_EQ(forward.worst()[2].ov.key.value, "obj-1");
-}
-
-TEST(ExemplarStore, MergeIsOrderIndependent) {
-  std::vector<obs::ExemplarStore> parts;
-  for (int p = 0; p < 3; ++p) {
-    obs::ExemplarStore store(/*worst_k=*/4, /*reservoir=*/6);
-    for (int i = 0; i < 10; ++i) {
-      store.add(make_exemplar("obj-" + std::to_string(p * 10 + i),
-                              (p * 10 + i) * kMicrosPerSecond,
-                              /*seed=*/100 + p, (i + 1) * 37 + p));
-    }
-    parts.push_back(store);
-  }
-  obs::ExemplarStore left(/*worst_k=*/4, /*reservoir=*/6);
-  left.merge(parts[0]);
-  left.merge(parts[1]);
-  left.merge(parts[2]);
-  obs::ExemplarStore right(/*worst_k=*/4, /*reservoir=*/6);
-  right.merge(parts[2]);
-  right.merge(parts[0]);
-  right.merge(parts[1]);
-  EXPECT_EQ(left.to_text(), right.to_text());
-  EXPECT_EQ(left.worst().size(), 4u);
-  EXPECT_EQ(left.reservoir().size(), 6u);
-  EXPECT_EQ(left.count(), 30u);
-}
-
-TEST(ExemplarStoreDeathTest, MergeRejectsMismatchedCaps) {
-  obs::ExemplarStore a(/*worst_k=*/8, /*reservoir=*/64);
-  obs::ExemplarStore b(/*worst_k=*/4, /*reservoir=*/64);
-  EXPECT_DEATH(a.merge(b), "cap mismatch.*8 vs 4");
-}
-
-TEST(ExemplarStore, StratifiedBucketsTheReservoirByDecile) {
-  obs::ExemplarStore store(/*worst_k=*/2, /*reservoir=*/64);
-  for (int i = 1; i <= 50; ++i) {
-    store.add(make_exemplar("obj-" + std::to_string(i),
-                            i * kMicrosPerSecond, 9,
-                            static_cast<SimTime>(i) * 100'000));
-  }
-  const auto strata = store.stratified(/*per_decile=*/2);
-  ASSERT_EQ(strata.size(), 10u);
-  size_t total = 0;
-  double prev_max = -1.0;
-  for (const auto& stratum : strata) {
-    ASSERT_LE(stratum.size(), 2u);
-    total += stratum.size();
-    for (const obs::Exemplar& e : stratum) {
-      // Strata ascend: everything here is >= the previous stratum's top.
-      EXPECT_GE(e.seconds(), prev_max - 1e-12);
-    }
-    if (!stratum.empty()) prev_max = stratum.back().seconds();
-  }
-  EXPECT_GT(total, 0u);
+  EXPECT_EQ(forward.top[0].seed, 42u);
+  EXPECT_EQ(forward.top[0].ov.key.value, "obj-0");
+  EXPECT_EQ(forward.top[1].seed, 43u);
+  EXPECT_EQ(forward.top[1].ov.key.value, "obj-0");
+  EXPECT_EQ(forward.top[2].ov.key.value, "obj-1");
+  EXPECT_EQ(forward.top.back().ov.key.value, "obj-6");
 }
 
 // --- attribution ------------------------------------------------------------
@@ -137,8 +106,7 @@ TEST(Attribution, SplitsCohortsAndRanksTheGap) {
   // version crosses the threshold. (An all-equal body would clamp the
   // threshold onto the point mass and pull everything into the tail — the
   // >= is what guarantees the max-latency version is never dropped.)
-  obs::ExemplarStore store(/*worst_k=*/4, /*reservoir=*/16);
-  std::vector<obs::VersionCriticalPath> paths;
+  std::vector<SeededPath> paths;
   for (int i = 0; i < 20; ++i) {
     obs::VersionCriticalPath path;
     path.ov = ObjectVersionId{Key{"obj-" + std::to_string(i)},
@@ -151,13 +119,9 @@ TEST(Attribution, SplitsCohortsAndRanksTheGap) {
           obs::PathComponent::kRecoveryBackoff)] = 600 * kMicrosPerSecond;
     }
     path.confirm_time = path.ack_time + path.total();
-    store.add(obs::Exemplar{path.ov, /*seed=*/1, path.total(),
-                            path.components});
-    paths.push_back(path);
+    paths.push_back({path, /*seed=*/1});
   }
-  obs::AttributionBuilder builder(store);
-  for (const obs::VersionCriticalPath& path : paths) builder.add(path);
-  const obs::AttributionReport report = builder.finish();
+  const obs::AttributionReport report = attribute(paths);
 
   EXPECT_EQ(report.versions, 20u);
   EXPECT_GT(report.tail_threshold_s, 9.0);
@@ -179,8 +143,7 @@ TEST(Attribution, SplitsCohortsAndRanksTheGap) {
 }
 
 TEST(Attribution, JsonRoundTripPreservesIntegersExactly) {
-  obs::ExemplarStore store(/*worst_k=*/3, /*reservoir=*/8);
-  std::vector<obs::VersionCriticalPath> paths;
+  std::vector<SeededPath> paths;
   for (int i = 0; i < 5; ++i) {
     obs::VersionCriticalPath path;
     path.ov = ObjectVersionId{Key{"obj-" + std::to_string(i)},
@@ -188,12 +151,9 @@ TEST(Attribution, JsonRoundTripPreservesIntegersExactly) {
     path.components[0] = 123 + i;
     path.components[2] = i == 4 ? 987654321 : 17;
     path.confirm_time = path.total();
-    store.add(obs::Exemplar{path.ov, 55, path.total(), path.components});
-    paths.push_back(path);
+    paths.push_back({path, /*seed=*/55});
   }
-  obs::AttributionBuilder builder(store);
-  for (const obs::VersionCriticalPath& path : paths) builder.add(path);
-  const obs::AttributionReport report = builder.finish();
+  const obs::AttributionReport report = attribute(paths);
 
   obs::JsonWriter w;
   obs::attribution_to_json(w, report);
@@ -219,9 +179,9 @@ TEST(Attribution, JsonRoundTripPreservesIntegersExactly) {
   EXPECT_NE(diff.find("delta +0.0%"), std::string::npos);
 }
 
-TEST(Attribution, EmptyStoreYieldsEmptyReport) {
-  obs::ExemplarStore store;
-  obs::AttributionBuilder builder(store);
+TEST(Attribution, EmptySketchYieldsEmptyReport) {
+  const QuantileSketch latency_s;
+  obs::AttributionBuilder builder(latency_s);
   const obs::AttributionReport report = builder.finish();
   EXPECT_TRUE(report.empty());
   EXPECT_NE(report.to_text().find("no resolved versions"), std::string::npos);
@@ -280,21 +240,15 @@ std::string digest(const core::AggregateResult& agg) {
 TEST(ExemplarHarness, ByteIdenticalForAnyJobs) {
   const core::RunConfig config = small_config();
   const core::AggregateResult serial = core::run_many(config, 4, 42, 1);
-  const std::string amr_text = serial.amr_exemplars.to_text();
-  const std::string put_text = serial.put_op_exemplars.to_text();
-  const std::string get_text = serial.get_op_exemplars.to_text();
   const std::string attribution_text = serial.attribution.to_text();
-  EXPECT_GT(serial.amr_exemplars.count(), 0u);
   EXPECT_FALSE(serial.attribution.empty());
+  EXPECT_FALSE(serial.attribution.top.empty());
 
   for (int jobs : {2, 8}) {
     const core::AggregateResult parallel = core::run_many(config, 4, 42, jobs);
-    EXPECT_EQ(parallel.amr_exemplars.to_text(), amr_text) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.put_op_exemplars.to_text(), put_text)
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.get_op_exemplars.to_text(), get_text)
-        << "jobs=" << jobs;
     EXPECT_EQ(parallel.attribution.to_text(), attribution_text)
+        << "jobs=" << jobs;
+    EXPECT_EQ(parallel.attribution.top, serial.attribution.top)
         << "jobs=" << jobs;
   }
 }
@@ -304,12 +258,11 @@ TEST(ExemplarHarness, PureObserverDigestIdenticalOnVsOff) {
   config.telemetry.exemplars = false;
   config.telemetry.spans = true;  // hold spans fixed; toggle only exemplars
   const core::AggregateResult off = core::run_many(config, 4, 42, 2);
-  EXPECT_EQ(off.amr_exemplars.count(), 0u);
   EXPECT_TRUE(off.attribution.empty());
 
   config.telemetry.exemplars = true;
   const core::AggregateResult on = core::run_many(config, 4, 42, 2);
-  EXPECT_GT(on.amr_exemplars.count(), 0u);
+  EXPECT_FALSE(on.attribution.empty());
   EXPECT_EQ(digest(on), digest(off));
 }
 
@@ -317,17 +270,15 @@ TEST(ExemplarHarness, ComponentsTelescopeToAmrLatencyForEveryExemplar) {
   const core::RunConfig config = small_config();
   const core::AggregateResult agg = core::run_many(config, 4, 42, 2);
 
-  // The AMR exemplar stream is exactly the AmrTracker-confirmed stream.
-  EXPECT_EQ(agg.amr_exemplars.count(), agg.time_to_amr_s.count());
-  const auto check = [](const obs::Exemplar& e) {
+  // The critical paths the attribution walks are exactly the
+  // AmrTracker-resolved versions its latency sketch counts.
+  EXPECT_EQ(agg.attribution.versions, agg.time_to_amr_s.count());
+  ASSERT_FALSE(agg.attribution.top.empty());
+  for (const obs::Exemplar& e : agg.attribution.top) {
     SimTime sum = 0;
     for (SimTime micros : e.components) sum += micros;
     EXPECT_EQ(sum, e.latency_micros) << obs::exemplar_to_text(e);
-  };
-  ASSERT_FALSE(agg.amr_exemplars.worst().empty());
-  for (const obs::Exemplar& e : agg.amr_exemplars.worst()) check(e);
-  for (const obs::Exemplar& e : agg.amr_exemplars.reservoir()) check(e);
-  for (const obs::Exemplar& e : agg.attribution.top) check(e);
+  }
 
   // Cohort integer totals partition the critical-path totals exactly.
   for (size_t c = 0; c < obs::kPathComponentCount; ++c) {

@@ -43,9 +43,9 @@ TEST(SpanTest, CriticalPathComponentsSumExactlyToTimeToAmr) {
   const core::RunResult result = core::run_experiment(blackout_config());
   ASSERT_TRUE(result.audit.passed()) << result.audit.to_string();
   ASSERT_EQ(result.puts_acked, 1);
-  ASSERT_EQ(result.critical_paths.size(), 1u);
+  ASSERT_EQ(result.spans.critical_paths().size(), 1u);
 
-  const obs::VersionCriticalPath& path = result.critical_paths[0];
+  const obs::VersionCriticalPath& path = result.spans.critical_paths()[0];
   EXPECT_GT(path.confirm_time, path.ack_time);
   // The attribution clock banks every interval into exactly one component,
   // so the components telescope to the ack → confirm distance with no gap
