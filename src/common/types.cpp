@@ -74,7 +74,12 @@ bool Metadata::merge_locs(const Metadata& other) {
 }
 
 std::string to_string(NodeId id) {
-  return id.valid() ? "n" + std::to_string(id.value) : "n?";
+  if (!id.valid()) return "n?";
+  // Appending, not `"n" + std::to_string(...)`: GCC 12 -O3 raises a bogus
+  // -Wrestrict on the literal + temporary form (GCC bug 105651).
+  std::string out = "n";
+  out += std::to_string(id.value);
+  return out;
 }
 
 std::string to_string(const Timestamp& ts) {

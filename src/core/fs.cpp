@@ -246,7 +246,6 @@ void FragmentServer::ensure_round_scheduled() {
 void FragmentServer::start_round() {
   obs::ProfScope prof("fs_round");
   round_timer_ = 0;
-  ++rounds_run_;
   m_rounds_->inc();
   // Fig 4: a convergence step for every object version not yet verified AMR.
   for (const ObjectVersionId& ov : store_meta_.all_versions()) {
@@ -262,7 +261,6 @@ void FragmentServer::start_round() {
       const bool durable = durable_class(ov, &work);
       store_meta_.erase(ov);
       work_.erase(ov);
-      ++versions_given_up_;
       m_giveups_->inc();
       given_up_versions_.push_back(ov);
       telemetry().spans.interval(ov, "give_up", id(), sim_.now(), sim_.now(),
@@ -534,7 +532,6 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
       send(loc->fs, req);
     }
   }
-  ++recoveries_completed_;
   m_recoveries_->inc();
   clear_recovery_state(work);
   work.next_attempt = sim_.now();  // verify at the next round
@@ -609,7 +606,6 @@ void FragmentServer::clear_recovery_state(Work& work) {
 void FragmentServer::cancel_recovery(const ObjectVersionId& ov, Work& work) {
   if (!work.recovering) return;
   clear_recovery_state(work);
-  ++recovery_backoffs_;
   m_backoffs_->inc();
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(ov, "recovery_canceled", id(), sim_.now(),
@@ -644,7 +640,6 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
   }
   work_.erase(ov);
   store_meta_.erase(ov);
-  ++versions_converged_;
   m_converged_->inc();
   if (options_.giveup_age_durable >= 0) amr_history_.insert(ov);
   telemetry().amr.on_amr_confirmed(ov, sim_.now());
@@ -958,35 +953,40 @@ void FragmentServer::dispatch(const wire::Envelope& env) {
   using wire::MessageType;
   switch (env.type) {
     case MessageType::kStoreFragmentReq:
-      on_store_fragment(env.from, wire::StoreFragmentReq::decode(env.payload));
+      on_store_fragment(env.from,
+                        wire::decode<wire::StoreFragmentReq>(env.payload));
       break;
     case MessageType::kSiblingStoreReq:
-      on_sibling_store(env.from, wire::SiblingStoreReq::decode(env.payload));
+      on_sibling_store(env.from,
+                       wire::decode<wire::SiblingStoreReq>(env.payload));
       break;
     case MessageType::kRetrieveFragReq:
-      on_retrieve_frag(env.from, wire::RetrieveFragReq::decode(env.payload));
+      on_retrieve_frag(env.from,
+                       wire::decode<wire::RetrieveFragReq>(env.payload));
       break;
     case MessageType::kFsConvergeReq:
-      on_fs_converge(env.from, wire::FsConvergeReq::decode(env.payload));
+      on_fs_converge(env.from, wire::decode<wire::FsConvergeReq>(env.payload));
       break;
     case MessageType::kFsConvergeRep:
-      on_fs_converge_rep(env.from, wire::FsConvergeRep::decode(env.payload));
+      on_fs_converge_rep(env.from,
+                         wire::decode<wire::FsConvergeRep>(env.payload));
       break;
     case MessageType::kKlsConvergeRep:
-      on_kls_converge_rep(env.from, wire::KlsConvergeRep::decode(env.payload));
+      on_kls_converge_rep(env.from,
+                          wire::decode<wire::KlsConvergeRep>(env.payload));
       break;
     case MessageType::kAmrIndication:
-      on_amr_indication(wire::AmrIndication::decode(env.payload));
+      on_amr_indication(wire::decode<wire::AmrIndication>(env.payload));
       break;
     case MessageType::kDecideLocsRep:
-      on_decide_locs_rep(wire::DecideLocsRep::decode(env.payload));
+      on_decide_locs_rep(wire::decode<wire::DecideLocsRep>(env.payload));
       break;
     case MessageType::kKlsLocsNotify:
-      on_kls_locs_notify(wire::KlsLocsNotify::decode(env.payload));
+      on_kls_locs_notify(wire::decode<wire::KlsLocsNotify>(env.payload));
       break;
     case MessageType::kRetrieveFragRep:
       on_retrieve_frag_rep(env.from,
-                           wire::RetrieveFragRep::decode(env.payload));
+                           wire::decode<wire::RetrieveFragRep>(env.payload));
       break;
     case MessageType::kSiblingStoreRep:
       break;  // recovered-fragment push acks carry no actionable state

@@ -412,12 +412,10 @@ static RunResult run_experiment_impl(const RunConfig& config) {
          detail});
   }
 
-  for (int i = 0; i < cluster.num_fs(); ++i) {
-    result.given_up += static_cast<int>(cluster.fs(i).versions_given_up());
-  }
-
   // --- telemetry: snapshot, and (on failure) capture forensics ------------
   obs::Telemetry& tel = net.telemetry();
+  result.given_up =
+      static_cast<int>(tel.metrics.counter_sum("fs_giveups_total"));
   tel.metrics.gauge("amr_backlog").set(static_cast<double>(tel.amr.backlog()));
   tel.metrics.gauge("amr_backlog_peak")
       .set(static_cast<double>(tel.amr.backlog_peak()));

@@ -26,19 +26,21 @@ void KeyLookupServer::dispatch(const wire::Envelope& env) {
     case MessageType::kDecideLocsReq:
     case MessageType::kFsDecideLocsReq:
       m_decide_locs_->inc();
-      on_decide_locs(env.from, wire::DecideLocsReq::decode(env.payload));
+      on_decide_locs(env.from, wire::decode<wire::DecideLocsReq>(env.payload));
       break;
     case MessageType::kStoreMetadataReq:
       m_store_metadata_->inc();
-      on_store_metadata(env.from, wire::StoreMetadataReq::decode(env.payload));
+      on_store_metadata(env.from,
+                        wire::decode<wire::StoreMetadataReq>(env.payload));
       break;
     case MessageType::kRetrieveTsReq:
       m_retrieve_ts_->inc();
-      on_retrieve_ts(env.from, wire::RetrieveTsReq::decode(env.payload));
+      on_retrieve_ts(env.from, wire::decode<wire::RetrieveTsReq>(env.payload));
       break;
     case MessageType::kKlsConvergeReq:
       m_converge_->inc();
-      on_kls_converge(env.from, wire::KlsConvergeReq::decode(env.payload));
+      on_kls_converge(env.from,
+                      wire::decode<wire::KlsConvergeReq>(env.payload));
       break;
     default:
       // Messages for other roles (e.g., fragment traffic) are a protocol

@@ -128,7 +128,6 @@ void Proxy::put(const Key& key, Bytes value, const Policy& policy,
     });
     return;
   }
-  ++puts_started_;
 
   auto op = std::make_unique<PutOp>();
   op->ov = ObjectVersionId{key, next_timestamp()};
@@ -233,7 +232,6 @@ void Proxy::put_maybe_reply(PutOp& op) {
     return;
   }
   op.replied = true;
-  ++puts_succeeded_;
   m_puts_acked_->inc();
   telemetry().amr.on_put_acked(op.ov, sim_.now());
   telemetry().spans.on_put_acked(op.ov, id());
@@ -254,7 +252,6 @@ void Proxy::put_check_amr(PutOp& op) {
   if (options_.put_amr_indication) {
     for (NodeId fs : op.meta.sibling_fs()) {
       send(fs, wire::AmrIndication{op.ov});
-      ++amr_indications_sent_;
       m_amr_indications_->inc();
     }
   }
@@ -267,7 +264,6 @@ void Proxy::finish_put(const ObjectVersionId& ov) {
   PutOp& op = *it->second;
   sim_.cancel(op.timeout);
   if (!op.replied) {
-    ++puts_failed_;
     m_puts_failed_->inc();
     telemetry().spans.interval(
         op.ov, "put_failed", id(), sim_.now(), sim_.now(),
@@ -288,7 +284,6 @@ void Proxy::get(const Key& key, GetCallback callback) {
   }
   PAHOEHOE_CHECK_MSG(gets_.count(key) == 0,
                      "one get at a time per key per proxy");
-  ++gets_started_;
 
   auto op = std::make_unique<GetOp>();
   op->key = key;
@@ -459,22 +454,23 @@ void Proxy::dispatch(const wire::Envelope& env) {
   using wire::MessageType;
   switch (env.type) {
     case MessageType::kDecideLocsRep:
-      on_decide_locs_rep(wire::DecideLocsRep::decode(env.payload));
+      on_decide_locs_rep(wire::decode<wire::DecideLocsRep>(env.payload));
       break;
     case MessageType::kStoreMetadataRep:
       on_store_metadata_rep(env.from,
-                            wire::StoreMetadataRep::decode(env.payload));
+                            wire::decode<wire::StoreMetadataRep>(env.payload));
       break;
     case MessageType::kStoreFragmentRep:
       on_store_fragment_rep(env.from,
-                            wire::StoreFragmentRep::decode(env.payload));
+                            wire::decode<wire::StoreFragmentRep>(env.payload));
       break;
     case MessageType::kRetrieveTsRep:
-      on_retrieve_ts_rep(env.from, wire::RetrieveTsRep::decode(env.payload));
+      on_retrieve_ts_rep(env.from,
+                         wire::decode<wire::RetrieveTsRep>(env.payload));
       break;
     case MessageType::kRetrieveFragRep:
       on_retrieve_frag_rep(env.from,
-                           wire::RetrieveFragRep::decode(env.payload));
+                           wire::decode<wire::RetrieveFragRep>(env.payload));
       break;
     default:
       PAHOEHOE_CHECK_MSG(false, "unexpected message type at proxy");

@@ -59,13 +59,6 @@ class Proxy : public Server {
   /// Begin a get; the callback fires exactly once.
   void get(const Key& key, GetCallback callback);
 
-  // Counters for tests and experiments.
-  uint64_t puts_started() const { return puts_started_; }
-  uint64_t puts_succeeded() const { return puts_succeeded_; }
-  uint64_t puts_failed() const { return puts_failed_; }
-  uint64_t gets_started() const { return gets_started_; }
-  uint64_t amr_indications_sent() const { return amr_indications_sent_; }
-
  protected:
   void dispatch(const wire::Envelope& env) override;
   void on_crash() override;
@@ -97,12 +90,6 @@ class Proxy : public Server {
   std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
       codecs_;
   Timestamp last_issued_;
-
-  uint64_t puts_started_ = 0;
-  uint64_t puts_succeeded_ = 0;
-  uint64_t puts_failed_ = 0;
-  uint64_t gets_started_ = 0;
-  uint64_t amr_indications_sent_ = 0;
 
   // Registry handles (labeled {node}, plus {result} where it applies);
   // cached once in the constructor.

@@ -202,13 +202,13 @@ class Network {
 /// Typed send helper for messages with a static kType.
 template <typename M>
 void send_message(Network& net, NodeId from, NodeId to, const M& msg) {
-  net.send(from, to, M::kType, msg.encode());
+  net.send(from, to, M::kType, wire::encode(msg));
 }
 
 /// DecideLocsReq's type depends on the sender role (proxy vs FS).
 inline void send_message(Network& net, NodeId from, NodeId to,
                          const wire::DecideLocsReq& msg) {
-  net.send(from, to, msg.type(), msg.encode());
+  net.send(from, to, msg.type(), wire::encode(msg));
 }
 
 }  // namespace pahoehoe::net

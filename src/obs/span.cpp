@@ -328,13 +328,32 @@ std::string SpanTracer::render_tree(const ObjectVersionId& ov) const {
   }
   auto render = [&](auto&& self, uint32_t id, int depth) -> void {
     const Span& s = v->spans[id - 1];
-    out += std::string(2 * static_cast<size_t>(depth) + 2, ' ');
-    out += "[" + format_seconds(s.start) + "s ";
-    out += s.end < 0 ? "open" : "+" + format_seconds(s.end - s.start) + "s";
-    out += "] " + s.name + " " + pahoehoe::to_string(s.node);
-    if (s.peer.valid()) out += " -> " + pahoehoe::to_string(s.peer);
-    if (!s.note.empty()) out += " -- " + s.note;
-    out += "\n";
+    // Appends only: GCC 12 -O3 raises a bogus -Wrestrict on
+    // `"literal" + std::string` temporaries here (GCC bug 105651).
+    out.append(2 * static_cast<size_t>(depth) + 2, ' ');
+    out += '[';
+    out += format_seconds(s.start);
+    out += "s ";
+    if (s.end < 0) {
+      out += "open";
+    } else {
+      out += '+';
+      out += format_seconds(s.end - s.start);
+      out += 's';
+    }
+    out += "] ";
+    out += s.name;
+    out += ' ';
+    out += pahoehoe::to_string(s.node);
+    if (s.peer.valid()) {
+      out += " -> ";
+      out += pahoehoe::to_string(s.peer);
+    }
+    if (!s.note.empty()) {
+      out += " -- ";
+      out += s.note;
+    }
+    out += '\n';
     for (uint32_t kid : kids[id]) self(self, kid, depth + 1);
   };
   for (uint32_t root : roots) render(render, root, 0);

@@ -1,13 +1,14 @@
 // Protocol messages (paper Figures 2–4 plus the §4 optimization messages).
 //
-// Each message struct knows how to encode itself into a payload and decode
-// from one; the Envelope carries the routing header. Message-type names
-// follow the legends of the paper's Figures 5–8 so benchmark output can be
-// compared line-for-line.
+// Each message struct lists its fields once, in wire order, in a static
+// `fields()`; wire::encode(msg) and wire::decode<M>(payload) (wire/serde.h)
+// turn that list into the payload and back. The Envelope carries the
+// routing header. Message-type names follow the legends of the paper's
+// Figures 5–8 so benchmark output can be compared line-for-line.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "common/sha256.h"
@@ -64,6 +65,10 @@ struct Envelope {
 /// Fragment store/retrieve success indicator.
 enum class Status : uint8_t { kSuccess = 0, kFailure = 1 };
 
+void encode(Writer& w, Status status);
+/// Throws WireError on a byte other than 0 or 1.
+void decode(Reader& r, Status& status);
+
 // --- Put path -------------------------------------------------------------
 
 struct DecideLocsReq {
@@ -82,8 +87,10 @@ struct DecideLocsReq {
     return from_fs ? MessageType::kFsDecideLocsReq
                    : MessageType::kDecideLocsReq;
   }
-  Bytes encode() const;
-  static DecideLocsReq decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) {
+    return std::tie(m.ov, m.policy, m.value_size, m.from_fs);
+  }
 };
 
 struct DecideLocsRep {
@@ -94,8 +101,8 @@ struct DecideLocsRep {
   DataCenterId dc;
 
   static constexpr MessageType kType = MessageType::kDecideLocsRep;
-  Bytes encode() const;
-  static DecideLocsRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) { return std::tie(m.ov, m.meta, m.dc); }
 };
 
 struct StoreMetadataReq {
@@ -103,8 +110,7 @@ struct StoreMetadataReq {
   Metadata meta;
 
   static constexpr MessageType kType = MessageType::kStoreMetadataReq;
-  Bytes encode() const;
-  static StoreMetadataReq decode(const Bytes& payload);
+  template <class S> static auto fields(S& m) { return std::tie(m.ov, m.meta); }
 };
 
 struct StoreMetadataRep {
@@ -118,8 +124,8 @@ struct StoreMetadataRep {
   uint16_t decided_count = 0;
 
   static constexpr MessageType kType = MessageType::kStoreMetadataRep;
-  Bytes encode() const;
-  static StoreMetadataRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) { return std::tie(m.ov, m.status, m.decided_count); }
 };
 
 struct StoreFragmentReq {
@@ -130,8 +136,10 @@ struct StoreFragmentReq {
   Sha256::Digest digest{};
 
   static constexpr MessageType kType = MessageType::kStoreFragmentReq;
-  Bytes encode() const;
-  static StoreFragmentReq decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) {
+    return std::tie(m.ov, m.meta, m.frag_index, m.fragment, m.digest);
+  }
 };
 
 struct StoreFragmentRep {
@@ -140,16 +148,15 @@ struct StoreFragmentRep {
   Status status = Status::kSuccess;
 
   static constexpr MessageType kType = MessageType::kStoreFragmentRep;
-  Bytes encode() const;
-  static StoreFragmentRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) { return std::tie(m.ov, m.frag_index, m.status); }
 };
 
 struct AmrIndication {
   ObjectVersionId ov;
 
   static constexpr MessageType kType = MessageType::kAmrIndication;
-  Bytes encode() const;
-  static AmrIndication decode(const Bytes& payload);
+  template <class S> static auto fields(S& m) { return std::tie(m.ov); }
 };
 
 // --- Get path ---------------------------------------------------------------
@@ -164,8 +171,10 @@ struct RetrieveTsReq {
   uint16_t max_entries = 0;
 
   static constexpr MessageType kType = MessageType::kRetrieveTsReq;
-  Bytes encode() const;
-  static RetrieveTsReq decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) {
+    return std::tie(m.key, m.before_ts, m.max_entries);
+  }
 };
 
 struct RetrieveTsRep {
@@ -174,6 +183,8 @@ struct RetrieveTsRep {
     Timestamp ts;
     Metadata meta;
     friend bool operator==(const Entry&, const Entry&) = default;
+    template <class S>
+    static auto fields(S& e) { return std::tie(e.ts, e.meta); }
   };
   /// Newest-first (descending timestamp).
   std::vector<Entry> entries;
@@ -181,17 +192,21 @@ struct RetrieveTsRep {
   bool more = false;
 
   static constexpr MessageType kType = MessageType::kRetrieveTsRep;
-  Bytes encode() const;
-  static RetrieveTsRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) { return std::tie(m.key, m.entries, m.more); }
 };
+
+/// RetrieveTsRep::entries: a u32 count, then the entries.
+void encode(Writer& w, const std::vector<RetrieveTsRep::Entry>& entries);
+void decode(Reader& r, std::vector<RetrieveTsRep::Entry>& entries);
 
 struct RetrieveFragReq {
   ObjectVersionId ov;
   uint16_t frag_index = 0;
 
   static constexpr MessageType kType = MessageType::kRetrieveFragReq;
-  Bytes encode() const;
-  static RetrieveFragReq decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) { return std::tie(m.ov, m.frag_index); }
 };
 
 struct RetrieveFragRep {
@@ -201,8 +216,10 @@ struct RetrieveFragRep {
   Bytes fragment;
 
   static constexpr MessageType kType = MessageType::kRetrieveFragRep;
-  Bytes encode() const;
-  static RetrieveFragRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) {
+    return std::tie(m.ov, m.frag_index, m.found, m.fragment);
+  }
 };
 
 // --- Convergence ------------------------------------------------------------
@@ -212,8 +229,7 @@ struct KlsConvergeReq {
   Metadata meta;
 
   static constexpr MessageType kType = MessageType::kKlsConvergeReq;
-  Bytes encode() const;
-  static KlsConvergeReq decode(const Bytes& payload);
+  template <class S> static auto fields(S& m) { return std::tie(m.ov, m.meta); }
 };
 
 struct KlsConvergeRep {
@@ -221,8 +237,8 @@ struct KlsConvergeRep {
   bool verified = false;
 
   static constexpr MessageType kType = MessageType::kKlsConvergeRep;
-  Bytes encode() const;
-  static KlsConvergeRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) { return std::tie(m.ov, m.verified); }
 };
 
 struct FsConvergeReq {
@@ -232,8 +248,10 @@ struct FsConvergeReq {
   bool intends_recovery = false;
 
   static constexpr MessageType kType = MessageType::kFsConvergeReq;
-  Bytes encode() const;
-  static FsConvergeReq decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) {
+    return std::tie(m.ov, m.meta, m.intends_recovery);
+  }
 };
 
 struct FsConvergeRep {
@@ -247,8 +265,10 @@ struct FsConvergeRep {
   bool also_recovering = false;
 
   static constexpr MessageType kType = MessageType::kFsConvergeRep;
-  Bytes encode() const;
-  static FsConvergeRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) {
+    return std::tie(m.ov, m.verified, m.needed_fragments, m.also_recovering);
+  }
 };
 
 struct SiblingStoreReq {
@@ -259,8 +279,10 @@ struct SiblingStoreReq {
   Sha256::Digest digest{};
 
   static constexpr MessageType kType = MessageType::kSiblingStoreReq;
-  Bytes encode() const;
-  static SiblingStoreReq decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) {
+    return std::tie(m.ov, m.meta, m.frag_index, m.fragment, m.digest);
+  }
 };
 
 struct SiblingStoreRep {
@@ -269,8 +291,8 @@ struct SiblingStoreRep {
   Status status = Status::kSuccess;
 
   static constexpr MessageType kType = MessageType::kSiblingStoreRep;
-  Bytes encode() const;
-  static SiblingStoreRep decode(const Bytes& payload);
+  template <class S>
+  static auto fields(S& m) { return std::tie(m.ov, m.frag_index, m.status); }
 };
 
 struct KlsLocsNotify {
@@ -278,8 +300,7 @@ struct KlsLocsNotify {
   Metadata meta;
 
   static constexpr MessageType kType = MessageType::kKlsLocsNotify;
-  Bytes encode() const;
-  static KlsLocsNotify decode(const Bytes& payload);
+  template <class S> static auto fields(S& m) { return std::tie(m.ov, m.meta); }
 };
 
 }  // namespace pahoehoe::wire

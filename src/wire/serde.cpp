@@ -1,7 +1,5 @@
 #include "wire/serde.h"
 
-#include <cstring>
-
 namespace pahoehoe::wire {
 
 namespace {
@@ -95,94 +93,63 @@ void Reader::expect_exhausted() const {
   if (!exhausted()) throw WireError("trailing bytes after message");
 }
 
+namespace {
+
+// Field lists of the domain types: one list serves both directions.
+constexpr auto timestamp_fields = [](auto& ts) {
+  return std::tie(ts.wall_micros, ts.proxy);
+};
+constexpr auto ov_fields = [](auto& ov) { return std::tie(ov.key, ov.ts); };
+constexpr auto location_fields = [](auto& loc) {
+  return std::tie(loc.fs, loc.disk);
+};
+constexpr auto policy_fields = [](auto& p) {
+  return std::tie(p.k, p.n, p.max_frags_per_fs, p.max_frags_per_dc,
+                  p.data_frags_one_dc, p.min_frags_for_success);
+};
+constexpr auto metadata_fields = [](auto& meta) {
+  return std::tie(meta.policy, meta.value_size, meta.locs);
+};
+
+}  // namespace
+
 void encode(Writer& w, const Key& key) { w.str(key.value); }
+void decode(Reader& r, Key& key) { key.value = r.str(); }
 
 void encode(Writer& w, const Timestamp& ts) {
-  w.i64(ts.wall_micros);
-  w.u32(ts.proxy);
+  encode_fields(w, timestamp_fields(ts));
+}
+void decode(Reader& r, Timestamp& ts) {
+  decode_fields(r, timestamp_fields(ts));
 }
 
 void encode(Writer& w, const ObjectVersionId& ov) {
-  encode(w, ov.key);
-  encode(w, ov.ts);
+  encode_fields(w, ov_fields(ov));
 }
-
-void encode(Writer& w, const Policy& policy) {
-  w.u8(policy.k);
-  w.u8(policy.n);
-  w.u8(policy.max_frags_per_fs);
-  w.u8(policy.max_frags_per_dc);
-  w.boolean(policy.data_frags_one_dc);
-  w.u8(policy.min_frags_for_success);
+void decode(Reader& r, ObjectVersionId& ov) {
+  decode_fields(r, ov_fields(ov));
 }
 
 void encode(Writer& w, const Location& loc) {
-  w.u32(loc.fs.value);
-  w.u8(loc.disk);
+  encode_fields(w, location_fields(loc));
+}
+void decode(Reader& r, Location& loc) {
+  decode_fields(r, location_fields(loc));
 }
 
-void encode(Writer& w, const std::optional<Location>& loc) {
-  w.boolean(loc.has_value());
-  if (loc.has_value()) encode(w, *loc);
+void encode(Writer& w, const Policy& policy) {
+  encode_fields(w, policy_fields(policy));
+}
+void decode(Reader& r, Policy& policy) {
+  decode_fields(r, policy_fields(policy));
+  if (!policy.valid()) throw WireError("invalid policy");
 }
 
 void encode(Writer& w, const Metadata& meta) {
-  encode(w, meta.policy);
-  w.u64(meta.value_size);
-  w.u16(static_cast<uint16_t>(meta.locs.size()));
-  for (const auto& loc : meta.locs) encode(w, loc);
+  encode_fields(w, metadata_fields(meta));
 }
-
-Key decode_key(Reader& r) { return Key{r.str()}; }
-
-Timestamp decode_timestamp(Reader& r) {
-  Timestamp ts;
-  ts.wall_micros = r.i64();
-  ts.proxy = r.u32();
-  return ts;
-}
-
-ObjectVersionId decode_ov(Reader& r) {
-  ObjectVersionId ov;
-  ov.key = decode_key(r);
-  ov.ts = decode_timestamp(r);
-  return ov;
-}
-
-Policy decode_policy(Reader& r) {
-  Policy p;
-  p.k = r.u8();
-  p.n = r.u8();
-  p.max_frags_per_fs = r.u8();
-  p.max_frags_per_dc = r.u8();
-  p.data_frags_one_dc = r.boolean();
-  p.min_frags_for_success = r.u8();
-  if (!p.valid()) throw WireError("invalid policy");
-  return p;
-}
-
-Location decode_location(Reader& r) {
-  Location loc;
-  loc.fs.value = r.u32();
-  loc.disk = r.u8();
-  return loc;
-}
-
-std::optional<Location> decode_opt_location(Reader& r) {
-  if (!r.boolean()) return std::nullopt;
-  return decode_location(r);
-}
-
-Metadata decode_metadata(Reader& r) {
-  Metadata meta;
-  meta.policy = decode_policy(r);
-  meta.value_size = r.u64();
-  const uint16_t count = r.u16();  // u16: bounded even if corrupted
-  meta.locs.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    meta.locs.push_back(decode_opt_location(r));
-  }
-  return meta;
+void decode(Reader& r, Metadata& meta) {
+  decode_fields(r, metadata_fields(meta));
 }
 
 }  // namespace pahoehoe::wire

@@ -42,7 +42,8 @@ TEST(NaiveConvergenceTest, EachFsConvergesIndependently) {
   tc.put(Key{"k"}, tc.make_value(4096));
   tc.run_to_quiescence();
   for (int i = 0; i < tc.cluster.num_fs(); ++i) {
-    EXPECT_EQ(tc.cluster.fs(i).versions_converged(), 1u) << "fs " << i;
+    EXPECT_EQ(tc.node_counter("fs_converged_total", tc.cluster.fs(i).id()), 1u)
+        << "fs " << i;
   }
 }
 
@@ -53,11 +54,7 @@ TEST(FsAmrIndicationTest, UnsynchronizedStartSuppressesSiblingSteps) {
   // The first FS to round verifies AMR and tells the others; most FSs never
   // run their own step.
   EXPECT_EQ(sent(tc, MessageType::kAmrIndication), 5u);
-  uint64_t converged = 0;
-  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
-    converged += tc.cluster.fs(i).versions_converged();
-  }
-  EXPECT_EQ(converged, 1u);
+  EXPECT_EQ(tc.counter_sum("fs_converged_total"), 1u);
   EXPECT_EQ(sent(tc, MessageType::kKlsConvergeReq), 4u);
   EXPECT_EQ(tc.cluster.total_pending_versions(), 0u);
 }
@@ -190,11 +187,7 @@ TEST(ConvergenceTest, LowerIdBacksOffWhenRecoveriesCollide) {
   const auto r = tc.put(Key{"k"}, tc.make_value(8192));
   tc.run_to_quiescence();
   ASSERT_EQ(tc.cluster.classify(r.ov), VersionStatus::kAmr);
-  uint64_t backoffs = 0;
-  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
-    backoffs += tc.cluster.fs(i).recovery_backoffs();
-  }
-  EXPECT_GE(backoffs, 1u);
+  EXPECT_GE(tc.counter_sum("fs_recovery_backoffs_total"), 1u);
 }
 
 TEST(ConvergenceTest, KlsBlackoutLearnsVersionThroughConvergence) {
@@ -248,8 +241,8 @@ TEST(ConvergenceTest, LossyNetworkEventuallyConverges) {
   tc.net.add_fault(std::make_shared<net::UniformLoss>(0.10));
   std::vector<core::PutResult> results;
   for (int i = 0; i < 10; ++i) {
-    results.push_back(
-        tc.put(Key{"k" + std::to_string(i)}, tc.make_value(4096, static_cast<uint8_t>(i))));
+    results.push_back(tc.put(testing::numbered_key(i),
+                             tc.make_value(4096, static_cast<uint8_t>(i))));
   }
   tc.run_to_quiescence();
   for (const auto& r : results) {
@@ -276,11 +269,7 @@ TEST(ConvergenceTest, NonDurableVersionGivesUpAtCutoff) {
   EXPECT_FALSE(r.success);
   tc.run_to_quiescence();
   EXPECT_EQ(tc.cluster.classify(r.ov), VersionStatus::kNonDurable);
-  uint64_t given_up = 0;
-  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
-    given_up += tc.cluster.fs(i).versions_given_up();
-  }
-  EXPECT_GE(given_up, 1u);
+  EXPECT_GE(tc.counter_sum("fs_giveups_total"), 1u);
   EXPECT_EQ(tc.cluster.total_pending_versions(), 0u);
 }
 

@@ -166,7 +166,7 @@ TEST(AmrStabilityTest, AmrPersistsThroughSubsequentFailures) {
   SimCluster tc(ConvergenceOptions::all_opts());
   std::vector<core::PutResult> results;
   for (int i = 0; i < 5; ++i) {
-    results.push_back(tc.put(Key{"k" + std::to_string(i)},
+    results.push_back(tc.put(testing::numbered_key(i),
                              tc.make_value(2048, static_cast<uint8_t>(i))));
   }
   tc.run_to_quiescence();

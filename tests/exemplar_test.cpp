@@ -10,15 +10,17 @@
 //    AmrTracker latency.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/harness.h"
 #include "obs/attribution.h"
+#include "test_util.h"
 
 namespace pahoehoe {
 namespace {
+
+using testing::digest;
 
 struct SeededPath {
   obs::VersionCriticalPath path;
@@ -200,41 +202,6 @@ core::RunConfig small_config() {
       0, 1, 30 * kMicrosPerSecond, 600 * kMicrosPerSecond));
   config.telemetry.exemplars = true;
   return config;
-}
-
-void append_exact(std::ostringstream& os, const std::vector<double>& values) {
-  os.precision(17);
-  for (double v : values) os << v << ';';
-  os << '\n';
-}
-
-/// Everything observable about an aggregate except the exemplar side
-/// channel itself — the prof_test digest, reused to prove exemplars are a
-/// pure observer.
-std::string digest(const core::AggregateResult& agg) {
-  std::ostringstream os;
-  os << agg.seeds << '\n';
-  append_exact(os, agg.msg_count.values());
-  append_exact(os, agg.msg_bytes.values());
-  append_exact(os, agg.wan_bytes.values());
-  append_exact(os, agg.puts_attempted.values());
-  append_exact(os, agg.puts_acked.values());
-  append_exact(os, agg.amr.values());
-  append_exact(os, agg.excess_amr.values());
-  append_exact(os, agg.durable_not_amr.values());
-  append_exact(os, agg.non_durable.values());
-  append_exact(os, agg.end_time_s.values());
-  append_exact(os, agg.put_latency_mean_s.values());
-  os.precision(17);
-  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    os << agg.put_latency_s.quantile(q) << ';'
-       << agg.get_latency_s.quantile(q) << ';'
-       << agg.time_to_amr_s.quantile(q) << ';';
-  }
-  os << '\n';
-  os << agg.metrics.to_text();
-  os << agg.critical_path.to_text();
-  return os.str();
 }
 
 TEST(ExemplarHarness, ByteIdenticalForAnyJobs) {

@@ -22,7 +22,7 @@ class Probe : public net::MessageHandler {
   std::vector<M> decode_all(MessageType type) const {
     std::vector<M> out;
     for (const auto& env : received) {
-      if (env.type == type) out.push_back(M::decode(env.payload));
+      if (env.type == type) out.push_back(wire::decode<M>(env.payload));
     }
     return out;
   }
@@ -85,7 +85,7 @@ TEST_F(FsTest, StoreFragmentPersistsAndAcks) {
   const auto frags = codec->encode(value);
   const Metadata meta = complete_meta(value.size());
   deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
+          wire::encode(store_req(ov("k"), meta, 0, frags)));
   auto reps =
       probe.decode_all<wire::StoreFragmentRep>(MessageType::kStoreFragmentRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -101,7 +101,7 @@ TEST_F(FsTest, StoreFragmentRejectsBadDigest) {
   const auto frags = codec->encode(value);
   auto req = store_req(ov("k"), complete_meta(value.size()), 0, frags);
   req.digest[0] ^= 0xff;  // corrupted in transit
-  deliver(fs->id(), MessageType::kStoreFragmentReq, req.encode());
+  deliver(fs->id(), MessageType::kStoreFragmentReq, wire::encode(req));
   auto reps =
       probe.decode_all<wire::StoreFragmentRep>(MessageType::kStoreFragmentRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -111,7 +111,7 @@ TEST_F(FsTest, StoreFragmentRejectsBadDigest) {
 
 TEST_F(FsTest, RetrieveMissingFragmentRepliesBottom) {
   deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+          wire::encode(wire::RetrieveFragReq{ov("k"), 0}));
   auto reps =
       probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -123,9 +123,10 @@ TEST_F(FsTest, RetrieveStoredFragmentRoundTrips) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
   deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), complete_meta(value.size()), 0, frags).encode());
+          wire::encode(
+              store_req(ov("k"), complete_meta(value.size()), 0, frags)));
   deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+          wire::encode(wire::RetrieveFragReq{ov("k"), 0}));
   auto reps =
       probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -137,10 +138,11 @@ TEST_F(FsTest, CorruptFragmentReadsAsBottom) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
   deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), complete_meta(value.size()), 0, frags).encode());
+          wire::encode(
+              store_req(ov("k"), complete_meta(value.size()), 0, frags)));
   ASSERT_TRUE(fs->corrupt_fragment(ov("k"), 0));
   deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+          wire::encode(wire::RetrieveFragReq{ov("k"), 0}));
   auto reps =
       probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -152,7 +154,7 @@ TEST_F(FsTest, ConvergeRequestForUnknownVersionCreatesWork) {
   // creates metadata + a ⊥ fragment entry, entering convergence.
   const Metadata meta = complete_meta(4096);
   deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+          wire::encode(wire::FsConvergeReq{ov("k"), meta, false}));
   EXPECT_TRUE(fs->meta_store().contains(ov("k")));
   EXPECT_TRUE(fs->frag_store().contains(ov("k")));
   auto reps =
@@ -168,10 +170,10 @@ TEST_F(FsTest, ConvergeReplyVerifiedWhenLocalStateComplete) {
   // Store both fragments this FS is responsible for (slots 0 and 6).
   for (int slot : meta.fragments_for(fs->id())) {
     deliver(fs->id(), MessageType::kStoreFragmentReq,
-            store_req(ov("k"), meta, slot, frags).encode());
+            wire::encode(store_req(ov("k"), meta, slot, frags)));
   }
   deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+          wire::encode(wire::FsConvergeReq{ov("k"), meta, false}));
   auto reps =
       probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -184,10 +186,10 @@ TEST_F(FsTest, ConvergeWithRecoveryIntentReportsNeededFragments) {
   const Metadata meta = complete_meta(value.size());
   // Only slot 0 stored; slot 6 (also ours) missing.
   deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
+          wire::encode(store_req(ov("k"), meta, 0, frags)));
   deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, /*intends_recovery=*/true}
-              .encode());
+          wire::encode(
+              wire::FsConvergeReq{ov("k"), meta, /*intends_recovery=*/true}));
   auto reps =
       probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -198,7 +200,7 @@ TEST_F(FsTest, ConvergeWithRecoveryIntentReportsNeededFragments) {
 TEST_F(FsTest, ConvergeWithoutRecoveryIntentOmitsNeeds) {
   const Metadata meta = complete_meta(4096);
   deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+          wire::encode(wire::FsConvergeReq{ov("k"), meta, false}));
   auto reps =
       probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -210,10 +212,10 @@ TEST_F(FsTest, AmrIndicationClearsWorkButKeepsFragments) {
   const auto frags = codec->encode(value);
   const Metadata meta = complete_meta(value.size());
   deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
+          wire::encode(store_req(ov("k"), meta, 0, frags)));
   ASSERT_EQ(fs->pending_versions(), 1u);
   deliver(fs->id(), MessageType::kAmrIndication,
-          wire::AmrIndication{ov("k")}.encode());
+          wire::encode(wire::AmrIndication{ov("k")}));
   EXPECT_EQ(fs->pending_versions(), 0u);
   EXPECT_NE(fs->frag_store().fragment_if_intact(ov("k"), 0), nullptr);
 }
@@ -223,11 +225,11 @@ TEST_F(FsTest, ConvergeAfterAmrDoesNotResurrect) {
   const auto frags = codec->encode(value);
   const Metadata meta = complete_meta(value.size());
   deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
+          wire::encode(store_req(ov("k"), meta, 0, frags)));
   deliver(fs->id(), MessageType::kAmrIndication,
-          wire::AmrIndication{ov("k")}.encode());
+          wire::encode(wire::AmrIndication{ov("k")}));
   deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+          wire::encode(wire::FsConvergeReq{ov("k"), meta, false}));
   EXPECT_EQ(fs->pending_versions(), 0u);
   // It still answers the converge request truthfully.
   auto reps =
@@ -237,7 +239,7 @@ TEST_F(FsTest, ConvergeAfterAmrDoesNotResurrect) {
 
 TEST_F(FsTest, AmrIndicationForUnknownVersionIsHarmless) {
   deliver(fs->id(), MessageType::kAmrIndication,
-          wire::AmrIndication{ov("never-seen")}.encode());
+          wire::encode(wire::AmrIndication{ov("never-seen")}));
   EXPECT_EQ(fs->pending_versions(), 0u);
 }
 
@@ -251,7 +253,7 @@ TEST_F(FsTest, SiblingStorePersistsFragment) {
   req.frag_index = 6;
   req.fragment = frags[6];
   req.digest = Sha256::hash(frags[6]);
-  deliver(fs->id(), MessageType::kSiblingStoreReq, req.encode());
+  deliver(fs->id(), MessageType::kSiblingStoreReq, wire::encode(req));
   auto reps =
       probe.decode_all<wire::SiblingStoreRep>(MessageType::kSiblingStoreRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -261,7 +263,7 @@ TEST_F(FsTest, SiblingStorePersistsFragment) {
 
 TEST_F(FsTest, KlsLocsNotifyCreatesWork) {
   deliver(fs->id(), MessageType::kKlsLocsNotify,
-          wire::KlsLocsNotify{ov("k"), complete_meta(4096)}.encode());
+          wire::encode(wire::KlsLocsNotify{ov("k"), complete_meta(4096)}));
   EXPECT_TRUE(fs->meta_store().contains(ov("k")));
   EXPECT_EQ(fs->pending_versions(), 1u);
 }
@@ -269,7 +271,7 @@ TEST_F(FsTest, KlsLocsNotifyCreatesWork) {
 TEST_F(FsTest, CrashedFsDropsRequestsSilently) {
   fs->crash();
   deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+          wire::encode(wire::RetrieveFragReq{ov("k"), 0}));
   EXPECT_TRUE(probe.received.empty());
 }
 
@@ -277,11 +279,12 @@ TEST_F(FsTest, FragmentsSurviveCrashRecover) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
   deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), complete_meta(value.size()), 0, frags).encode());
+          wire::encode(
+              store_req(ov("k"), complete_meta(value.size()), 0, frags)));
   fs->crash();
   fs->recover();
   deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+          wire::encode(wire::RetrieveFragReq{ov("k"), 0}));
   auto reps =
       probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -316,11 +319,15 @@ class FsBackoffScenario : public FsBackoffTest {
       if (slot == 6) continue;  // the test FS's second fragment is missing
       tc.net.send(probe_id, meta.locs[slot]->fs,
                   MessageType::kStoreFragmentReq,
-                  store_req(ov("k"), meta, static_cast<int>(slot), frags)
-                      .encode());
+                  wire::encode(
+                      store_req(ov("k"), meta, static_cast<int>(slot), frags)));
     }
     // Run into the recovery's accumulation window after the 60 s round.
     tc.sim.run(60 * kMicrosPerSecond + 30 * kMicrosPerMilli);
+  }
+
+  uint64_t backoffs() {
+    return tc.node_counter("fs_recovery_backoffs_total", fs->id());
   }
 
   Metadata meta;
@@ -328,28 +335,29 @@ class FsBackoffScenario : public FsBackoffTest {
 
 TEST_F(FsBackoffScenario, LowerIdStandsDownOnRecoveryIntent) {
   prime();
-  const uint64_t backoffs_before = fs->recovery_backoffs();
+  const uint64_t backoffs_before = backoffs();
   const NodeId higher{fs->id().value + 1000};
   tc.net.register_node(higher, &probe);
   net::send_message(tc.net, higher, fs->id(),
                     wire::FsConvergeReq{ov("k"), meta, true});
   tc.run_for(seconds(2));
-  EXPECT_GT(fs->recovery_backoffs(), backoffs_before)
+  EXPECT_GT(backoffs(), backoffs_before)
       << "a competing intent from a higher id must cancel our recovery";
 }
 
 TEST_F(FsBackoffScenario, DoesNotStandDownForLowerId) {
   prime();
-  const uint64_t backoffs_before = fs->recovery_backoffs();
-  const uint64_t completed_before = fs->recoveries_completed();
+  const uint64_t backoffs_before = backoffs();
+  const uint64_t completed_before =
+      tc.node_counter("fs_recoveries_total", fs->id());
   const NodeId lower{50};  // below the cluster's id range (starts at 101)
   ASSERT_LT(lower.value, fs->id().value);
   tc.net.register_node(lower, &probe);
   net::send_message(tc.net, lower, fs->id(),
                     wire::FsConvergeReq{ov("k"), meta, true});
   tc.run_for(seconds(30));
-  EXPECT_EQ(fs->recovery_backoffs(), backoffs_before);
-  EXPECT_GT(fs->recoveries_completed(), completed_before)
+  EXPECT_EQ(backoffs(), backoffs_before);
+  EXPECT_GT(tc.node_counter("fs_recoveries_total", fs->id()), completed_before)
       << "our recovery must proceed despite the lower-id intent";
 }
 

@@ -12,32 +12,18 @@
 
 #include "core/harness.h"
 #include "erasure/gf256.h"
+#include "test_util.h"
 
 namespace pahoehoe {
 namespace {
 
+using testing::append_exact;
+using testing::digest;
+using testing::metrics_modulo_kernel;
+
 struct KernelGuard {
   ~KernelGuard() { gf256::reset_kernel(); }
 };
-
-/// Registry text minus the one line that names the kernel.
-std::string metrics_modulo_kernel(const obs::MetricRegistry& metrics) {
-  std::istringstream in(metrics.to_text());
-  std::string line;
-  std::string out;
-  while (std::getline(in, line)) {
-    if (line.find("erasure_kernel_runs_total") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
-void append_exact(std::ostringstream& os, const std::vector<double>& values) {
-  os.precision(17);
-  for (double v : values) os << v << ';';
-  os << '\n';
-}
 
 /// Everything observable about one run, rendered byte-exactly.
 std::string digest(const core::RunResult& r) {
@@ -60,32 +46,6 @@ std::string digest(const core::RunResult& r) {
   for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
     os << r.time_to_amr_s.quantile(q) << ';';
   }
-  return os.str();
-}
-
-/// Aggregate digest: every SampleStats value sequence plus merged metrics.
-std::string digest(const core::AggregateResult& agg) {
-  std::ostringstream os;
-  os << agg.seeds << '\n';
-  append_exact(os, agg.msg_count.values());
-  append_exact(os, agg.msg_bytes.values());
-  append_exact(os, agg.wan_bytes.values());
-  append_exact(os, agg.puts_attempted.values());
-  append_exact(os, agg.puts_acked.values());
-  append_exact(os, agg.amr.values());
-  append_exact(os, agg.excess_amr.values());
-  append_exact(os, agg.durable_not_amr.values());
-  append_exact(os, agg.non_durable.values());
-  append_exact(os, agg.end_time_s.values());
-  append_exact(os, agg.put_latency_mean_s.values());
-  os.precision(17);
-  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    os << agg.put_latency_s.quantile(q) << ';'
-       << agg.get_latency_s.quantile(q) << ';'
-       << agg.time_to_amr_s.quantile(q) << ';';
-  }
-  os << '\n';
-  os << metrics_modulo_kernel(agg.metrics);
   return os.str();
 }
 

@@ -19,7 +19,7 @@ class Probe : public net::MessageHandler {
   std::vector<M> decode_all(MessageType type) const {
     std::vector<M> out;
     for (const auto& env : received) {
-      if (env.type == type) out.push_back(M::decode(env.payload));
+      if (env.type == type) out.push_back(wire::decode<M>(env.payload));
     }
     return out;
   }
@@ -54,7 +54,8 @@ class KlsTest : public ::testing::Test {
 
 TEST_F(KlsTest, ProxyDecideLocsSuggestsOwnDcOnly) {
   deliver_and_run(MessageType::kDecideLocsReq,
-                  wire::DecideLocsReq{ov("k"), Policy{}, 0, false}.encode());
+                  wire::encode(
+                      wire::DecideLocsReq{ov("k"), Policy{}, 0, false}));
   auto reps = probe.decode_all<wire::DecideLocsRep>(MessageType::kDecideLocsRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_EQ(reps[0].dc, DataCenterId{0});
@@ -73,9 +74,9 @@ TEST_F(KlsTest, ProxyDecideLocsSuggestsOwnDcOnly) {
 TEST_F(KlsTest, BothKlssOfADcSuggestIdentically) {
   auto& other = tc.cluster.kls(0, 1);
   tc.net.send(probe_id, kls->id(), MessageType::kDecideLocsReq,
-              wire::DecideLocsReq{ov("k"), Policy{}, 0, false}.encode());
+              wire::encode(wire::DecideLocsReq{ov("k"), Policy{}, 0, false}));
   tc.net.send(probe_id, other.id(), MessageType::kDecideLocsReq,
-              wire::DecideLocsReq{ov("k"), Policy{}, 0, false}.encode());
+              wire::encode(wire::DecideLocsReq{ov("k"), Policy{}, 0, false}));
   tc.run_to_quiescence();
   auto reps = probe.decode_all<wire::DecideLocsRep>(MessageType::kDecideLocsRep);
   ASSERT_EQ(reps.size(), 2u);
@@ -84,7 +85,8 @@ TEST_F(KlsTest, BothKlssOfADcSuggestIdentically) {
 
 TEST_F(KlsTest, FsDecideLocsPersistsAndNotifiesSiblings) {
   deliver_and_run(MessageType::kFsDecideLocsReq,
-                  wire::DecideLocsReq{ov("k"), Policy{}, 4096, true}.encode());
+                  wire::encode(
+                      wire::DecideLocsReq{ov("k"), Policy{}, 4096, true}));
   // Persisted before replying (§3.5).
   EXPECT_TRUE(kls->meta_store().contains(ov("k")));
   EXPECT_TRUE(kls->timestamp_store().contains(ov("k").key, ov("k").ts));
@@ -99,7 +101,7 @@ TEST_F(KlsTest, StoreMetadataPersistsBoth) {
   Metadata meta{Policy{}, 4096};
   meta.locs[0] = Location{tc.cluster.fs(0).id(), 0};
   deliver_and_run(MessageType::kStoreMetadataReq,
-                  wire::StoreMetadataReq{ov("k"), meta}.encode());
+                  wire::encode(wire::StoreMetadataReq{ov("k"), meta}));
   auto reps =
       probe.decode_all<wire::StoreMetadataRep>(MessageType::kStoreMetadataRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -116,9 +118,9 @@ TEST_F(KlsTest, StoreMetadataMergesAcrossRequests) {
   Metadata second{Policy{}};
   second.locs[1] = Location{tc.cluster.fs(1).id(), 0};
   deliver_and_run(MessageType::kStoreMetadataReq,
-                  wire::StoreMetadataReq{ov("k"), first}.encode());
+                  wire::encode(wire::StoreMetadataReq{ov("k"), first}));
   deliver_and_run(MessageType::kStoreMetadataReq,
-                  wire::StoreMetadataReq{ov("k"), second}.encode());
+                  wire::encode(wire::StoreMetadataReq{ov("k"), second}));
   EXPECT_EQ(kls->meta_store().find(ov("k"))->decided_count(), 2);
 }
 
@@ -126,10 +128,10 @@ TEST_F(KlsTest, RetrieveTsReturnsAllVersionsWithMetadata) {
   for (SimTime t : {100, 300, 200}) {
     deliver_and_run(
         MessageType::kStoreMetadataReq,
-        wire::StoreMetadataReq{ov("k", t), Metadata{Policy{}}}.encode());
+        wire::encode(wire::StoreMetadataReq{ov("k", t), Metadata{Policy{}}}));
   }
   deliver_and_run(MessageType::kRetrieveTsReq,
-                  wire::RetrieveTsReq{Key{"k"}, {}, 0}.encode());
+                  wire::encode(wire::RetrieveTsReq{Key{"k"}, {}, 0}));
   auto reps =
       probe.decode_all<wire::RetrieveTsRep>(MessageType::kRetrieveTsRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -144,11 +146,11 @@ TEST_F(KlsTest, RetrieveTsPagesNewestFirst) {
   for (SimTime t : {100, 200, 300, 400, 500}) {
     deliver_and_run(
         MessageType::kStoreMetadataReq,
-        wire::StoreMetadataReq{ov("k", t), Metadata{Policy{}}}.encode());
+        wire::encode(wire::StoreMetadataReq{ov("k", t), Metadata{Policy{}}}));
   }
   // Page 1: the two newest.
   deliver_and_run(MessageType::kRetrieveTsReq,
-                  wire::RetrieveTsReq{Key{"k"}, Timestamp{}, 2}.encode());
+                  wire::encode(wire::RetrieveTsReq{Key{"k"}, Timestamp{}, 2}));
   auto reps =
       probe.decode_all<wire::RetrieveTsRep>(MessageType::kRetrieveTsRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -160,7 +162,7 @@ TEST_F(KlsTest, RetrieveTsPagesNewestFirst) {
   // Page 2: continue strictly below the floor of page 1.
   deliver_and_run(
       MessageType::kRetrieveTsReq,
-      wire::RetrieveTsReq{Key{"k"}, reps[0].entries[1].ts, 2}.encode());
+      wire::encode(wire::RetrieveTsReq{Key{"k"}, reps[0].entries[1].ts, 2}));
   reps = probe.decode_all<wire::RetrieveTsRep>(MessageType::kRetrieveTsRep);
   ASSERT_EQ(reps.size(), 2u);
   ASSERT_EQ(reps[1].entries.size(), 2u);
@@ -171,7 +173,7 @@ TEST_F(KlsTest, RetrieveTsPagesNewestFirst) {
   // Final page.
   deliver_and_run(
       MessageType::kRetrieveTsReq,
-      wire::RetrieveTsReq{Key{"k"}, reps[1].entries[1].ts, 2}.encode());
+      wire::encode(wire::RetrieveTsReq{Key{"k"}, reps[1].entries[1].ts, 2}));
   reps = probe.decode_all<wire::RetrieveTsRep>(MessageType::kRetrieveTsRep);
   ASSERT_EQ(reps.size(), 3u);
   ASSERT_EQ(reps[2].entries.size(), 1u);
@@ -181,7 +183,7 @@ TEST_F(KlsTest, RetrieveTsPagesNewestFirst) {
 
 TEST_F(KlsTest, RetrieveTsUnknownKeyIsEmpty) {
   deliver_and_run(MessageType::kRetrieveTsReq,
-                  wire::RetrieveTsReq{Key{"nope"}, {}, 0}.encode());
+                  wire::encode(wire::RetrieveTsReq{Key{"nope"}, {}, 0}));
   auto reps =
       probe.decode_all<wire::RetrieveTsRep>(MessageType::kRetrieveTsRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -192,7 +194,7 @@ TEST_F(KlsTest, ConvergeVerifiesCompleteness) {
   Metadata partial{Policy{}};
   partial.locs[0] = Location{tc.cluster.fs(0).id(), 0};
   deliver_and_run(MessageType::kKlsConvergeReq,
-                  wire::KlsConvergeReq{ov("k"), partial}.encode());
+                  wire::encode(wire::KlsConvergeReq{ov("k"), partial}));
   auto reps =
       probe.decode_all<wire::KlsConvergeRep>(MessageType::kKlsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
@@ -204,7 +206,7 @@ TEST_F(KlsTest, ConvergeVerifiesCompleteness) {
                                 static_cast<uint8_t>(i / 6)};
   }
   deliver_and_run(MessageType::kKlsConvergeReq,
-                  wire::KlsConvergeReq{ov("k"), complete}.encode());
+                  wire::encode(wire::KlsConvergeReq{ov("k"), complete}));
   reps = probe.decode_all<wire::KlsConvergeRep>(MessageType::kKlsConvergeRep);
   ASSERT_EQ(reps.size(), 2u);
   EXPECT_TRUE(reps[1].verified);
@@ -219,10 +221,11 @@ TEST_F(KlsTest, ConvergeMergeIsMonotonic) {
                                 static_cast<uint8_t>(i / 6)};
   }
   deliver_and_run(MessageType::kKlsConvergeReq,
-                  wire::KlsConvergeReq{ov("k"), complete}.encode());
+                  wire::encode(wire::KlsConvergeReq{ov("k"), complete}));
   // A later converge with *less* information cannot regress the store.
   deliver_and_run(MessageType::kKlsConvergeReq,
-                  wire::KlsConvergeReq{ov("k"), Metadata{Policy{}}}.encode());
+                  wire::encode(
+                      wire::KlsConvergeReq{ov("k"), Metadata{Policy{}}}));
   EXPECT_TRUE(kls->meta_store().find(ov("k"))->complete());
   auto reps =
       probe.decode_all<wire::KlsConvergeRep>(MessageType::kKlsConvergeRep);
@@ -233,18 +236,18 @@ TEST_F(KlsTest, ConvergeMergeIsMonotonic) {
 TEST_F(KlsTest, CrashedKlsIsSilent) {
   kls->crash();
   deliver_and_run(MessageType::kRetrieveTsReq,
-                  wire::RetrieveTsReq{Key{"k"}, {}, 0}.encode());
+                  wire::encode(wire::RetrieveTsReq{Key{"k"}, {}, 0}));
   EXPECT_TRUE(probe.received.empty());
   kls->recover();
   deliver_and_run(MessageType::kRetrieveTsReq,
-                  wire::RetrieveTsReq{Key{"k"}, {}, 0}.encode());
+                  wire::encode(wire::RetrieveTsReq{Key{"k"}, {}, 0}));
   EXPECT_EQ(probe.received.size(), 1u);
 }
 
 TEST_F(KlsTest, StateSurvivesCrashRecover) {
   deliver_and_run(
       MessageType::kStoreMetadataReq,
-      wire::StoreMetadataReq{ov("k"), Metadata{Policy{}, 99}}.encode());
+      wire::encode(wire::StoreMetadataReq{ov("k"), Metadata{Policy{}, 99}}));
   kls->crash();
   kls->recover();
   EXPECT_TRUE(kls->meta_store().contains(ov("k")));

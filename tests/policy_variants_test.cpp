@@ -141,7 +141,7 @@ TEST(TopologyTest, LargeClusterConverges) {
   tc.blackout_fs(2, 1, 0, minutes(10));
   std::vector<core::PutResult> results;
   for (int i = 0; i < 5; ++i) {
-    results.push_back(tc.put(Key{"k" + std::to_string(i)},
+    results.push_back(tc.put(testing::numbered_key(i),
                              tc.make_value(8192, static_cast<uint8_t>(i)),
                              policy));
   }

@@ -8,54 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <sstream>
 #include <string>
 
 #include "core/harness.h"
 #include "obs/prof.h"
+#include "test_util.h"
 
 namespace pahoehoe {
 namespace {
+
+using testing::digest;
 
 /// Tests toggle the global profiling flag; always leave it off.
 struct ProfGuard {
   ~ProfGuard() { obs::prof::set_enabled(false); }
 };
-
-void append_exact(std::ostringstream& os, const std::vector<double>& values) {
-  os.precision(17);
-  for (double v : values) os << v << ';';
-  os << '\n';
-}
-
-/// Everything observable about an aggregate, rendered byte-exactly —
-/// deliberately *excluding* `profile`, which is the documented side
-/// channel (same contract kernel_determinism_test applies to the kernel
-/// label).
-std::string digest(const core::AggregateResult& agg) {
-  std::ostringstream os;
-  os << agg.seeds << '\n';
-  append_exact(os, agg.msg_count.values());
-  append_exact(os, agg.msg_bytes.values());
-  append_exact(os, agg.wan_bytes.values());
-  append_exact(os, agg.puts_attempted.values());
-  append_exact(os, agg.puts_acked.values());
-  append_exact(os, agg.amr.values());
-  append_exact(os, agg.excess_amr.values());
-  append_exact(os, agg.durable_not_amr.values());
-  append_exact(os, agg.non_durable.values());
-  append_exact(os, agg.end_time_s.values());
-  append_exact(os, agg.put_latency_mean_s.values());
-  os.precision(17);
-  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    os << agg.put_latency_s.quantile(q) << ';'
-       << agg.get_latency_s.quantile(q) << ';'
-       << agg.time_to_amr_s.quantile(q) << ';';
-  }
-  os << '\n';
-  os << agg.metrics.to_text();
-  return os.str();
-}
 
 core::RunConfig small_config() {
   core::RunConfig config = core::paper_default_config();

@@ -54,7 +54,9 @@ TEST(ProxyPutTest, NoAmrIndicationWhenMetadataAckLost) {
   tc.run_to_quiescence();
   // The proxy stayed unsure and sent no indications (the FSs, which DID
   // converge, sent their own — count the proxy's separately).
-  EXPECT_EQ(tc.cluster.proxy(0).amr_indications_sent(), 0u);
+  EXPECT_EQ(tc.node_counter("proxy_amr_indications_total",
+                            tc.cluster.proxy(0).id()),
+            0u);
   EXPECT_GT(sent(tc, MessageType::kKlsConvergeReq), 0u);
   EXPECT_EQ(tc.cluster.classify(r.ov), core::VersionStatus::kAmr);
 }

@@ -159,7 +159,7 @@ TEST(GetTest, RoundTripsValue) {
 TEST(GetTest, EmptyishAndOddSizes) {
   SimCluster tc;
   for (size_t size : {size_t{1}, size_t{3}, size_t{4097}, size_t{100001}}) {
-    const Key key{"k" + std::to_string(size)};
+    const Key key = testing::numbered_key(size);
     const Bytes value = tc.make_value(size, static_cast<uint8_t>(size));
     tc.put(key, value);
     const auto got = tc.get(key);
@@ -290,10 +290,15 @@ TEST(ProxyTest, CountersTrackOperations) {
   tc.put(Key{"a"}, tc.make_value(10));
   tc.put(Key{"b"}, tc.make_value(10));
   tc.get(Key{"a"});
-  EXPECT_EQ(tc.cluster.proxy(0).puts_started(), 2u);
-  EXPECT_EQ(tc.cluster.proxy(0).puts_succeeded(), 2u);
-  EXPECT_EQ(tc.cluster.proxy(0).puts_failed(), 0u);
-  EXPECT_EQ(tc.cluster.proxy(0).gets_started(), 1u);
+  const NodeId proxy = tc.cluster.proxy(0).id();
+  EXPECT_EQ(tc.node_counter("proxy_puts_total", proxy, {{"result", "acked"}}),
+            2u);
+  EXPECT_EQ(tc.node_counter("proxy_puts_total", proxy, {{"result", "failed"}}),
+            0u);
+  EXPECT_EQ(tc.node_counter("proxy_gets_total", proxy, {{"result", "ok"}}),
+            1u);
+  EXPECT_EQ(tc.node_counter("proxy_gets_total", proxy, {{"result", "failed"}}),
+            0u);
 }
 
 TEST(ProxyTest, CrashDropsInflightOperations) {

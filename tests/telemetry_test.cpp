@@ -26,7 +26,7 @@ using obs::Sampler;
 using obs::TimeSeries;
 
 ObjectVersionId ov(uint32_t n) {
-  return ObjectVersionId{Key{"k" + std::to_string(n)}, Timestamp{n, 1}};
+  return ObjectVersionId{testing::numbered_key(n), Timestamp{n, 1}};
 }
 
 // --- MetricRegistry ---------------------------------------------------------

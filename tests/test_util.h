@@ -1,12 +1,17 @@
 // Shared test fixture: a simulator + network + cluster bundle with blocking
 // put/get helpers (blocking in simulated time — they drive the event loop
-// until the operation's callback fires).
+// until the operation's callback fires), plus the byte-exact aggregate
+// digest the determinism tests compare.
 #pragma once
 
 #include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/config.h"
+#include "core/harness.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -66,6 +71,17 @@ struct SimCluster {
         id, sim.now() + start_in, sim.now() + start_in + len));
   }
 
+  /// One node's series of a registry counter; `labels` adds to {node=...}.
+  uint64_t node_counter(const std::string& name, NodeId node,
+                        obs::Labels labels = {}) {
+    labels.emplace_back("node", to_string(node));
+    return net.telemetry().metrics.counter(name, labels).value();
+  }
+  /// A registry counter summed over every node and label set.
+  uint64_t counter_sum(const std::string& name) {
+    return net.telemetry().metrics.counter_sum(name);
+  }
+
   Bytes make_value(size_t size, uint8_t salt = 1) {
     Bytes value(size);
     for (size_t i = 0; i < size; ++i) {
@@ -78,6 +94,63 @@ struct SimCluster {
   net::Network net;
   core::Cluster cluster;
 };
+
+/// Key "k<n>". Built by appending: GCC 12 -O3 raises a bogus -Wrestrict on
+/// `"k" + std::to_string(n)` (GCC bug 105651).
+inline Key numbered_key(uint64_t n) {
+  std::string name = "k";
+  name += std::to_string(n);
+  return Key{name};
+}
+
+/// Registry text minus the one line that names the GF(2^8) kernel, the only
+/// metric allowed to differ across kernels (DESIGN.md §10).
+inline std::string metrics_modulo_kernel(const obs::MetricRegistry& metrics) {
+  std::istringstream in(metrics.to_text());
+  std::string line;
+  std::string out;
+  while (std::getline(in, line)) {
+    if (line.find("erasure_kernel_runs_total") != std::string::npos) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+inline void append_exact(std::ostringstream& os,
+                         const std::vector<double>& values) {
+  os.precision(17);
+  for (double v : values) os << v << ';';
+  os << '\n';
+}
+
+/// Everything observable about an aggregate, rendered byte-exactly, except
+/// its side channels: the wall-clock profile and the kernel label.
+inline std::string digest(const core::AggregateResult& agg) {
+  std::ostringstream os;
+  os << agg.seeds << '\n';
+  append_exact(os, agg.msg_count.values());
+  append_exact(os, agg.msg_bytes.values());
+  append_exact(os, agg.wan_bytes.values());
+  append_exact(os, agg.puts_attempted.values());
+  append_exact(os, agg.puts_acked.values());
+  append_exact(os, agg.amr.values());
+  append_exact(os, agg.excess_amr.values());
+  append_exact(os, agg.durable_not_amr.values());
+  append_exact(os, agg.non_durable.values());
+  append_exact(os, agg.end_time_s.values());
+  append_exact(os, agg.put_latency_mean_s.values());
+  os.precision(17);
+  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    os << agg.put_latency_s.quantile(q) << ';'
+       << agg.get_latency_s.quantile(q) << ';'
+       << agg.time_to_amr_s.quantile(q) << ';';
+  }
+  os << '\n';
+  os << metrics_modulo_kernel(agg.metrics);
+  os << agg.critical_path.to_text();
+  return os.str();
+}
 
 constexpr SimTime seconds(int64_t s) { return s * kMicrosPerSecond; }
 constexpr SimTime minutes(int64_t m) { return m * 60 * kMicrosPerSecond; }

@@ -5,6 +5,11 @@
 // input" is a hard requirement.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <type_traits>
+#include <typeinfo>
+#include <vector>
+
 #include "chaos/schedule.h"
 #include "common/rng.h"
 #include "wire/messages.h"
@@ -74,94 +79,92 @@ class Gen {
   Rng rng_;
 };
 
+/// Every protocol message struct, one of each.
+using Messages =
+    std::tuple<DecideLocsReq, DecideLocsRep, StoreMetadataReq,
+               StoreMetadataRep, StoreFragmentReq, StoreFragmentRep,
+               AmrIndication, RetrieveTsReq, RetrieveTsRep, RetrieveFragReq,
+               RetrieveFragRep, KlsConvergeReq, KlsConvergeRep, FsConvergeReq,
+               FsConvergeRep, SiblingStoreReq, SiblingStoreRep, KlsLocsNotify>;
+
+/// A random instance of every message, every field drawn from `gen`.
+Messages random_messages(Gen& gen) {
+  auto status = [&gen] {
+    return gen.coin() ? Status::kSuccess : Status::kFailure;
+  };
+  RetrieveTsRep ts_rep{gen.key(), {}, gen.coin()};
+  for (size_t e = gen.index(5); e > 0; --e) {
+    ts_rep.entries.push_back({gen.timestamp(), gen.metadata()});
+  }
+  FsConvergeRep fs_rep{gen.ov(), gen.coin(), {}, gen.coin()};
+  for (size_t e = gen.index(6); e > 0; --e) {
+    fs_rep.needed_fragments.push_back(gen.u16());
+  }
+  return {
+      DecideLocsReq{gen.ov(), gen.policy(), gen.rng().next_u64(), gen.coin()},
+      DecideLocsRep{gen.ov(), gen.metadata(), DataCenterId{gen.u8()}},
+      StoreMetadataReq{gen.ov(), gen.metadata()},
+      StoreMetadataRep{gen.ov(), status(), gen.u16()},
+      StoreFragmentReq{gen.ov(), gen.metadata(), gen.u16(), gen.bytes(1000),
+                       gen.digest()},
+      StoreFragmentRep{gen.ov(), gen.u16(), status()},
+      AmrIndication{gen.ov()},
+      RetrieveTsReq{gen.key(), gen.timestamp(), gen.u16()},
+      std::move(ts_rep),
+      RetrieveFragReq{gen.ov(), gen.u16()},
+      RetrieveFragRep{gen.ov(), gen.u16(), gen.coin(), gen.bytes()},
+      KlsConvergeReq{gen.ov(), gen.metadata()},
+      KlsConvergeRep{gen.ov(), gen.coin()},
+      FsConvergeReq{gen.ov(), gen.metadata(), gen.coin()},
+      std::move(fs_rep),
+      SiblingStoreReq{gen.ov(), gen.metadata(), gen.u16(), gen.bytes(1000),
+                      gen.digest()},
+      SiblingStoreRep{gen.ov(), gen.u16(), status()},
+      KlsLocsNotify{gen.ov(), gen.metadata()},
+  };
+}
+
 class WireFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WireFuzzTest, RandomMessagesRoundTripExactly) {
   Gen gen(GetParam());
   for (int iter = 0; iter < 50; ++iter) {
-    {
-      DecideLocsReq msg{gen.ov(), gen.policy(), gen.coin()};
-      const auto back = DecideLocsReq::decode(msg.encode());
-      EXPECT_EQ(back.ov, msg.ov);
-      EXPECT_EQ(back.policy, msg.policy);
-      EXPECT_EQ(back.from_fs, msg.from_fs);
-    }
-    {
-      DecideLocsRep msg{gen.ov(), gen.metadata(), DataCenterId{gen.u8()}};
-      const auto back = DecideLocsRep::decode(msg.encode());
-      EXPECT_EQ(back.meta, msg.meta);
-    }
-    {
-      StoreFragmentReq msg;
-      msg.ov = gen.ov();
-      msg.meta = gen.metadata();
-      msg.frag_index = gen.u16();
-      msg.fragment = gen.bytes(1000);
-      msg.digest = gen.digest();
-      const auto back = StoreFragmentReq::decode(msg.encode());
-      EXPECT_EQ(back.fragment, msg.fragment);
-      EXPECT_EQ(back.digest, msg.digest);
-      EXPECT_EQ(back.frag_index, msg.frag_index);
-    }
-    {
-      StoreMetadataRep msg{gen.ov(), gen.coin() ? Status::kSuccess
-                                                : Status::kFailure,
-                           gen.u16()};
-      const auto back = StoreMetadataRep::decode(msg.encode());
-      EXPECT_EQ(back.status, msg.status);
-      EXPECT_EQ(back.decided_count, msg.decided_count);
-    }
-    {
-      RetrieveTsRep msg;
-      msg.key = gen.key();
-      const int entries = static_cast<int>(gen.index(5));
-      for (int e = 0; e < entries; ++e) {
-        msg.entries.push_back({gen.timestamp(), gen.metadata()});
-      }
-      msg.more = gen.coin();
-      const auto back = RetrieveTsRep::decode(msg.encode());
-      EXPECT_EQ(back.entries, msg.entries);
-      EXPECT_EQ(back.more, msg.more);
-    }
-    {
-      FsConvergeRep msg;
-      msg.ov = gen.ov();
-      msg.verified = gen.coin();
-      const int needs = static_cast<int>(gen.index(6));
-      for (int e = 0; e < needs; ++e) msg.needed_fragments.push_back(gen.u16());
-      msg.also_recovering = gen.coin();
-      const auto back = FsConvergeRep::decode(msg.encode());
-      EXPECT_EQ(back.needed_fragments, msg.needed_fragments);
-      EXPECT_EQ(back.also_recovering, msg.also_recovering);
-    }
+    std::apply(
+        [](const auto&... msg) {
+          auto round_trip = [](const auto& m) {
+            using M = std::decay_t<decltype(m)>;
+            const Bytes bytes = encode(m);
+            EXPECT_EQ(encode(decode<M>(bytes)), bytes) << typeid(M).name();
+          };
+          (round_trip(msg), ...);
+        },
+        random_messages(gen));
   }
 }
 
 TEST_P(WireFuzzTest, MutatedEncodingsNeverCrashDecoders) {
   Gen gen(GetParam() ^ 0x5eed);
-  // A pool of valid encodings of varying shapes.
+  // A pool of valid encodings of every message type.
   std::vector<Bytes> pool;
   for (int i = 0; i < 10; ++i) {
-    StoreFragmentReq frag;
-    frag.ov = gen.ov();
-    frag.meta = gen.metadata();
-    frag.fragment = gen.bytes(300);
-    pool.push_back(frag.encode());
-    pool.push_back(KlsConvergeReq{gen.ov(), gen.metadata()}.encode());
-    RetrieveTsRep rep;
-    rep.key = gen.key();
-    rep.entries.push_back({gen.timestamp(), gen.metadata()});
-    pool.push_back(rep.encode());
+    std::apply(
+        [&pool](const auto&... msg) { (pool.push_back(encode(msg)), ...); },
+        random_messages(gen));
   }
 
   auto try_all_decoders = [](const Bytes& payload) {
     // Every decoder must either parse or throw WireError on ANY input.
-    try { (void)StoreFragmentReq::decode(payload); } catch (const WireError&) {}
-    try { (void)KlsConvergeReq::decode(payload); } catch (const WireError&) {}
-    try { (void)RetrieveTsRep::decode(payload); } catch (const WireError&) {}
-    try { (void)FsConvergeRep::decode(payload); } catch (const WireError&) {}
-    try { (void)DecideLocsRep::decode(payload); } catch (const WireError&) {}
-    try { (void)AmrIndication::decode(payload); } catch (const WireError&) {}
+    std::apply(
+        [&payload](const auto&... type_tag) {
+          auto try_decode = [&payload](const auto& tag) {
+            try {
+              (void)decode<std::decay_t<decltype(tag)>>(payload);
+            } catch (const WireError&) {
+            }
+          };
+          (try_decode(type_tag), ...);
+        },
+        Messages{});
   };
 
   for (int iter = 0; iter < 400; ++iter) {
