@@ -12,6 +12,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <string>
 #include <vector>
 
@@ -48,15 +52,30 @@ constexpr Case kCases[] = {
     {16, 20, 64 * 1024},
 };
 
-/// Run `op` repeatedly until ~target_ms of wall clock elapsed; MB/s over
+// Each (case, kernel, op) is timed in this many short slices and keeps its
+// best. The slices of all cases, kernels and ops are interleaved, so a
+// kernel's encode, its mul_acc normalizer and the scalar baseline are
+// sampled across the same host phases: on a shared VM a single mean over
+// one contiguous budget lets a slow phase land on one side of a gated
+// ratio only.
+constexpr int kSlices = 8;
+constexpr std::chrono::milliseconds kWarmup(2);
+
+/// Run `op` repeatedly for ~`budget` of wall clock; MB/s over
 /// `bytes_per_iter` (decimal MB).
 template <typename Op>
-double measure_mb_s(int64_t target_ms, size_t bytes_per_iter, Op op) {
+double measure_mb_s(std::chrono::microseconds budget, size_t bytes_per_iter,
+                    Op op) {
   // lint:wallclock-ok(bench harness measures host throughput, not sim state)
   using Clock = std::chrono::steady_clock;
-  const auto budget = std::chrono::milliseconds(target_ms);
-  // Warm once (also faults in tables and the destination pages).
-  op();
+  // Warm up for a fixed stretch, not one call: besides faulting in tables
+  // and destination pages, it lets the core settle after the previous
+  // slice's kernel (wide-vector code can leave it clocked down for ~ms,
+  // which would land on the next slice alone).
+  const auto warm_start = Clock::now();
+  do {
+    op();
+  } while (Clock::now() - warm_start < kWarmup);
   int64_t iters = 0;
   const auto start = Clock::now();
   auto now = start;
@@ -159,7 +178,8 @@ int run_json_mode(int argc, char** argv) {
   const std::string out = flags.get_string(
       "out", "BENCH_erasure.json", "output JSON path");
   const int64_t target_ms = flags.get_int(
-      "target-ms", 300, "wall-clock budget per (case, kernel, op) sample");
+      "target-ms", 300, "wall-clock budget per (case, kernel, op), split "
+                     "into interleaved slices");
   const bool check = flags.get_bool(
       "selfcheck", false, "re-parse the emitted JSON and validate it");
   const std::string kernels_flag = flags.get_string(
@@ -191,6 +211,16 @@ int run_json_mode(int argc, char** argv) {
     kernels = std::move(picked);
   }
 
+#if defined(__GLIBC__)
+  // encode/decode return freshly allocated fragments (up to 1 MiB for
+  // k=16). With glibc's default, adaptive thresholds those allocations
+  // come from mmap or from a heap top that is trimmed after every free, and
+  // page-fault their way in: k=16 decode then read 2-3x slower depending
+  // on what ran before it. Keep them on the heap so every series times
+  // the codec, not the page-fault path.
+  mallopt(M_MMAP_THRESHOLD, 64 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
   const gf256::Kernel default_kernel = gf256::active_kernel();
   // Profile the measurement run itself: the per-kernel rs_encode/rs_decode
   // phases land in the emitted profile section. Scope entry costs ~25 ns
@@ -198,47 +228,76 @@ int run_json_mode(int argc, char** argv) {
   // the tolerance scale trendcheck gates on.
   obs::prof::set_enabled(true);
   const obs::prof::Snapshot prof_begin = obs::prof::capture_begin();
+  // Inputs first, each kernel checked against the scalar oracle before any
+  // timing. A case's inputs stay put in memory: parity_input points into
+  // oracle.
+  struct CaseInputs {
+    erasure::ReedSolomon rs;
+    size_t value_size;
+    Bytes value;
+    std::vector<Bytes> oracle;
+    std::vector<erasure::IndexedFragment> parity_input;
+    Bytes mul_src;
+    Bytes mul_dst;
+  };
+  std::vector<std::unique_ptr<CaseInputs>> inputs;
   std::vector<CaseResult> cases;
   for (const Case& c : kCases) {
-    CaseResult cr;
-    cr.c = c;
     const size_t value_size = static_cast<size_t>(c.k) * c.fragment_size;
-    erasure::ReedSolomon rs(c.k, c.n);
-    const Bytes value = make_value(value_size);
-
+    auto in = std::make_unique<CaseInputs>(CaseInputs{
+        erasure::ReedSolomon(c.k, c.n), value_size, make_value(value_size),
+        {}, {}, make_value(c.fragment_size), Bytes(c.fragment_size, 0)});
     // Scalar fragments are the oracle every other kernel must reproduce.
     gf256::force_kernel(gf256::Kernel::kScalar);
-    const auto oracle = rs.encode(value);
+    in->oracle = in->rs.encode(in->value);
     // Decode from the last k fragments — maximally non-systematic.
-    std::vector<erasure::IndexedFragment> parity_input;
     for (int i = c.n - c.k; i < c.n; ++i) {
-      parity_input.push_back({i, &oracle[static_cast<size_t>(i)]});
+      in->parity_input.push_back({i, &in->oracle[static_cast<size_t>(i)]});
     }
-    Bytes mul_src = make_value(c.fragment_size);
-    Bytes mul_dst(c.fragment_size, 0);
-
+    CaseResult cr;
+    cr.c = c;
     for (gf256::Kernel k : kernels) {
       gf256::force_kernel(k);
-      if (rs.encode(value) != oracle || rs.decode(parity_input, value_size) != value) {
+      if (in->rs.encode(in->value) != in->oracle ||
+          in->rs.decode(in->parity_input, value_size) != in->value) {
         std::fprintf(stderr, "kernel %s is NOT bit-identical to scalar\n",
                      gf256::to_string(k));
         gf256::reset_kernel();
         return 1;
       }
-      KernelResult r;
-      r.kernel = k;
-      r.encode_mb_s = measure_mb_s(target_ms, value_size, [&] {
-        bench::do_not_optimize(rs.encode(value));
-      });
-      r.decode_mb_s = measure_mb_s(target_ms, value_size, [&] {
-        bench::do_not_optimize(rs.decode(parity_input, value_size));
-      });
-      r.mul_acc_mb_s = measure_mb_s(target_ms, c.fragment_size, [&] {
-        gf256::mul_acc(mul_dst, mul_src, 0x57);
-        bench::do_not_optimize(mul_dst.data());
-      });
-      cr.results.push_back(r);
+      cr.results.push_back(KernelResult{k});
     }
+    inputs.push_back(std::move(in));
+    cases.push_back(std::move(cr));
+  }
+
+  // Timed slices, round-robin over every (case, kernel, op): each slice
+  // round spans the whole matrix, so the best slice of each series is drawn
+  // from the whole run rather than from one stretch of it.
+  const std::chrono::microseconds slice(target_ms * 1000 / kSlices);
+  for (int s = 0; s < kSlices; ++s) {
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+      CaseInputs& in = *inputs[ci];
+      for (KernelResult& r : cases[ci].results) {
+        gf256::force_kernel(r.kernel);
+        r.encode_mb_s = std::max(
+            r.encode_mb_s, measure_mb_s(slice, in.value_size, [&] {
+              bench::do_not_optimize(in.rs.encode(in.value));
+            }));
+        r.decode_mb_s = std::max(
+            r.decode_mb_s, measure_mb_s(slice, in.value_size, [&] {
+              bench::do_not_optimize(
+                  in.rs.decode(in.parity_input, in.value_size));
+            }));
+        r.mul_acc_mb_s = std::max(
+            r.mul_acc_mb_s, measure_mb_s(slice, in.mul_src.size(), [&] {
+              gf256::mul_acc(in.mul_dst, in.mul_src, 0x57);
+              bench::do_not_optimize(in.mul_dst.data());
+            }));
+      }
+    }
+  }
+  for (CaseResult& cr : cases) {
     const KernelResult& scalar = cr.results.front();
     for (const KernelResult& r : cr.results) {
       cr.speedup_encode =
@@ -246,7 +305,6 @@ int run_json_mode(int argc, char** argv) {
       cr.speedup_decode =
           std::max(cr.speedup_decode, r.decode_mb_s / scalar.decode_mb_s);
     }
-    cases.push_back(std::move(cr));
   }
   // Back to the dispatcher's own choice (env override or auto).
   gf256::reset_kernel();

@@ -3,12 +3,23 @@
 // The paper (§3.1) notes Pahoehoe detects disk corruption using hashes but
 // elides the mechanism; we store a digest beside every fragment and verify
 // it on retrieval and during scrubs.
+//
+// Block compression dispatches at runtime, once per `update`, to the SHA-NI
+// kernel (sha256_shani.cpp: SHA256RNDS2/MSG1/MSG2) where the CPU has it,
+// with the scalar FIPS round loop kept as the portable fallback and the
+// bit-exactness oracle. Both kernels produce identical digests (DESIGN.md
+// §10), so simulation results never depend on the host CPU.
+// `PAHOEHOE_SHA256_KERNEL=scalar|shani|auto` overrides the choice for
+// testing and benchmarking; `force_kernel` does the same in-process.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace pahoehoe {
 
@@ -31,8 +42,6 @@ class Sha256 {
   static std::string hex(const Digest& digest);
 
  private:
-  void process_block(const uint8_t* block);
-
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, 64> buffer_;
   size_t buffered_ = 0;
@@ -40,4 +49,35 @@ class Sha256 {
   bool finished_ = false;
 };
 
+namespace sha256 {
+
+// --- block-compression kernel selection --------------------------------------
+
+enum class Kernel : uint8_t { kScalar = 0, kShaNi = 1 };
+inline constexpr int kKernelCount = 2;
+
+/// "scalar" or "shani".
+const char* to_string(Kernel k);
+
+/// Inverse of to_string; nullopt for anything else (including "auto" —
+/// auto-selection is expressed by reset_kernel / the env default).
+std::optional<Kernel> parse_kernel(std::string_view name);
+
+/// Every kernel both compiled in and supported by this CPU, scalar first.
+std::vector<Kernel> supported_kernels();
+
+/// The fastest supported kernel — what auto-selection picks.
+Kernel best_kernel();
+
+/// The kernel block compression currently dispatches to.
+Kernel active_kernel();
+
+/// Force dispatch to `k` (must be supported) until reset_kernel(). For
+/// tests and benches; call it only while no other thread is hashing.
+void force_kernel(Kernel k);
+
+/// Back to the default choice: $PAHOEHOE_SHA256_KERNEL if set, else best.
+void reset_kernel();
+
+}  // namespace sha256
 }  // namespace pahoehoe

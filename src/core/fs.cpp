@@ -201,6 +201,23 @@ void FragmentServer::store_fragment_local(const ObjectVersionId& ov,
                            disk);
 }
 
+bool FragmentServer::arrival_intact(const ObjectVersionId& ov, int frag_index,
+                                    const Bytes& fragment,
+                                    const Sha256::Digest& digest) const {
+  // Fig 2 re-sends a store to every decided location once the second data
+  // center decides, so the first data center's fragments arrive twice. An
+  // arrival equal to the intact copy already held under the same digest
+  // passes the hash check without a second hash.
+  const storage::StoredFragment* held =
+      store_frag_.fragment_if_intact(ov, frag_index);
+  if (held != nullptr && held->digest == digest && held->data == fragment) {
+    return true;
+  }
+  // Otherwise this is the fragment's one hash at this FS: put_fragment
+  // stores it as known-intact.
+  return fragment_digest(fragment) == digest;
+}
+
 // --- round machinery --------------------------------------------------------
 
 void FragmentServer::ensure_round_scheduled() {
@@ -510,24 +527,25 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
   // that learned of this version only through convergence may not know the
   // value size yet, and fragment repair does not need it.
   const size_t frag_size = work.gathered.begin()->second.size();
-  const std::vector<Bytes> regenerated =
+  std::vector<Bytes> regenerated =
       codec(meta->policy).regenerate_sized(available, targets, frag_size);
 
   const Metadata meta_copy = *meta;  // stores below may invalidate pointers
   for (size_t i = 0; i < targets.size(); ++i) {
     const int slot = targets[i];
-    const Sha256::Digest digest = Sha256::hash(regenerated[i]);
+    const Sha256::Digest digest = fragment_digest(regenerated[i]);
     const auto& loc = meta_copy.locs[static_cast<size_t>(slot)];
     PAHOEHOE_CHECK(loc.has_value());
     if (loc->fs == id()) {
-      store_fragment_local(ov, meta_copy, slot, regenerated[i], digest);
+      store_fragment_local(ov, meta_copy, slot, std::move(regenerated[i]),
+                           digest);
     } else {
       // §4.2: push the recovered fragment to its sibling.
       wire::SiblingStoreReq req;
       req.ov = ov;
       req.meta = meta_copy;
       req.frag_index = static_cast<uint16_t>(slot);
-      req.fragment = regenerated[i];
+      req.fragment = std::move(regenerated[i]);
       req.digest = digest;
       send(loc->fs, req);
     }
@@ -657,30 +675,30 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
 // --- message handlers --------------------------------------------------------
 
 void FragmentServer::on_store_fragment(NodeId from,
-                                       const wire::StoreFragmentReq& req) {
-  if (Sha256::hash(req.fragment) != req.digest) {
+                                       wire::StoreFragmentReq req) {
+  if (!arrival_intact(req.ov, req.frag_index, req.fragment, req.digest)) {
     send(from, wire::StoreFragmentRep{req.ov, req.frag_index,
                                       wire::Status::kFailure});
     return;
   }
   merge_meta(req.ov, req.meta, /*create_work=*/true);
-  store_fragment_local(req.ov, req.meta, req.frag_index, req.fragment,
-                       req.digest);
+  store_fragment_local(req.ov, req.meta, req.frag_index,
+                       std::move(req.fragment), req.digest);
   wake_work(req.ov);  // a fragment arriving is progress worth acting on
   send(from,
        wire::StoreFragmentRep{req.ov, req.frag_index, wire::Status::kSuccess});
 }
 
 void FragmentServer::on_sibling_store(NodeId from,
-                                      const wire::SiblingStoreReq& req) {
-  if (Sha256::hash(req.fragment) != req.digest) {
+                                      wire::SiblingStoreReq req) {
+  if (!arrival_intact(req.ov, req.frag_index, req.fragment, req.digest)) {
     send(from, wire::SiblingStoreRep{req.ov, req.frag_index,
                                      wire::Status::kFailure});
     return;
   }
   merge_meta(req.ov, req.meta, /*create_work=*/true);
-  store_fragment_local(req.ov, req.meta, req.frag_index, req.fragment,
-                       req.digest);
+  store_fragment_local(req.ov, req.meta, req.frag_index,
+                       std::move(req.fragment), req.digest);
   wake_work(req.ov);
   send(from,
        wire::SiblingStoreRep{req.ov, req.frag_index, wire::Status::kSuccess});

@@ -97,8 +97,8 @@ class FragmentServer : public Server {
   };
 
   // Message handlers.
-  void on_store_fragment(NodeId from, const wire::StoreFragmentReq& req);
-  void on_sibling_store(NodeId from, const wire::SiblingStoreReq& req);
+  void on_store_fragment(NodeId from, wire::StoreFragmentReq req);
+  void on_sibling_store(NodeId from, wire::SiblingStoreReq req);
   void on_retrieve_frag(NodeId from, const wire::RetrieveFragReq& req);
   void on_fs_converge(NodeId from, const wire::FsConvergeReq& req);
   void on_fs_converge_rep(NodeId from, const wire::FsConvergeRep& rep);
@@ -135,6 +135,10 @@ class FragmentServer : public Server {
   bool local_verify(const ObjectVersionId& ov) const;
   /// Locally assigned fragment indices that are missing or corrupt.
   std::vector<int> missing_local_fragments(const ObjectVersionId& ov) const;
+  /// The arrival check of a shipped fragment: SHA-256(fragment) == digest.
+  bool arrival_intact(const ObjectVersionId& ov, int frag_index,
+                      const Bytes& fragment,
+                      const Sha256::Digest& digest) const;
   void store_fragment_local(const ObjectVersionId& ov, const Metadata& meta,
                             int frag_index, Bytes data,
                             const Sha256::Digest& digest);

@@ -135,7 +135,7 @@ void Proxy::put(const Key& key, Bytes value, const Policy& policy,
   op->fragments = codec(policy).encode(value);
   op->digests.reserve(op->fragments.size());
   for (const Bytes& frag : op->fragments) {
-    op->digests.push_back(Sha256::hash(frag));
+    op->digests.push_back(fragment_digest(frag));
   }
   op->callback = std::move(callback);
 

@@ -7,9 +7,11 @@
 
 #include <memory>
 
+#include "common/sha256.h"
 #include "common/types.h"
 #include "core/cluster_view.h"
 #include "net/network.h"
+#include "obs/prof.h"
 #include "sim/simulator.h"
 
 namespace pahoehoe::core {
@@ -56,6 +58,19 @@ class Server : public net::MessageHandler {
   template <typename M>
   void send(NodeId to, const M& msg) {
     net::send_message(net_, id_, to, msg);
+  }
+
+  /// SHA-256 of a fragment, under a profiler phase named for the hash
+  /// kernel ("sha256[shani]"), the way rs_encode[avx2] names the codec's.
+  static Sha256::Digest fragment_digest(std::span<const uint8_t> fragment) {
+    static constexpr const char* kPhases[sha256::kKernelCount] = {
+        "sha256[scalar]", "sha256[shani]"};
+    // lint:prof-ok(the phase id points into the static name table above)
+    obs::ProfScope prof(
+        obs::prof::enabled()
+            ? kPhases[static_cast<int>(sha256::active_kernel())]
+            : nullptr);
+    return Sha256::hash(fragment);
   }
 
   /// Run-wide telemetry (metric registry + AMR tracker), shared via the

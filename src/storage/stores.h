@@ -65,12 +65,15 @@ struct StoredFragment {
   uint8_t disk = 0;
 
   /// True iff the data still matches the digest. The verification is
-  /// cached (convergence consults it per message); fault injection that
-  /// mutates the data invalidates the cache.
+  /// cached (convergence consults it per message). FragStore::put_fragment
+  /// seeds the cache, since every writer has just hashed the bytes it
+  /// stores; fault injection that mutates the data invalidates it, so the
+  /// next call re-hashes.
   bool intact() const;
   void invalidate_intact_cache() { intact_cache_.reset(); }
 
  private:
+  friend class FragStore;
   mutable std::optional<bool> intact_cache_;
 };
 
@@ -92,6 +95,9 @@ class FragStore {
   size_t size() const { return by_ov_.size(); }
 
   /// Store one fragment (overwrites a prior copy of the same index).
+  /// Precondition: digest == SHA-256(data). Every caller has just computed
+  /// or verified that hash, so the fragment is stored as known-intact and
+  /// is not hashed again until a fault touches it.
   void put_fragment(const ObjectVersionId& ov, const Metadata& meta,
                     int frag_index, Bytes data, const Sha256::Digest& digest,
                     uint8_t disk);

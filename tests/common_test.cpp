@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/rng.h"
-#include "common/sha256.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -149,58 +148,6 @@ TEST(MetadataTest, MergeLocsReportsNoChange) {
   a.locs[0] = Location{NodeId{1}, 0};
   Metadata b{Policy{}};
   EXPECT_FALSE(a.merge_locs(b));
-}
-
-// --- SHA-256 ----------------------------------------------------------------------
-
-TEST(Sha256Test, EmptyInputVector) {
-  // FIPS 180-4 test vector.
-  EXPECT_EQ(Sha256::hex(Sha256::hash({})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256Test, AbcVector) {
-  const std::string abc = "abc";
-  Bytes data(abc.begin(), abc.end());
-  EXPECT_EQ(Sha256::hex(Sha256::hash(data)),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256Test, TwoBlockVector) {
-  const std::string msg =
-      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-  Bytes data(msg.begin(), msg.end());
-  EXPECT_EQ(Sha256::hex(Sha256::hash(data)),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256Test, MillionAVector) {
-  Bytes data(1'000'000, static_cast<uint8_t>('a'));
-  EXPECT_EQ(Sha256::hex(Sha256::hash(data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha256Test, IncrementalMatchesOneShot) {
-  Bytes data;
-  for (int i = 0; i < 1000; ++i) data.push_back(static_cast<uint8_t>(i));
-  Sha256 incremental;
-  // Feed in awkward chunk sizes straddling block boundaries.
-  size_t offset = 0;
-  for (size_t chunk : {1u, 63u, 64u, 65u, 500u, 307u}) {
-    const size_t take = std::min(chunk, data.size() - offset);
-    incremental.update(std::span(data).subspan(offset, take));
-    offset += take;
-  }
-  incremental.update(std::span(data).subspan(offset));
-  EXPECT_EQ(incremental.finish(), Sha256::hash(data));
-}
-
-TEST(Sha256Test, SingleBitChangesDigest) {
-  Bytes data(100, 0xab);
-  auto d1 = Sha256::hash(data);
-  data[50] ^= 1;
-  auto d2 = Sha256::hash(data);
-  EXPECT_NE(d1, d2);
 }
 
 // --- Rng ------------------------------------------------------------------------

@@ -109,6 +109,31 @@ TEST_F(FsTest, StoreFragmentRejectsBadDigest) {
   EXPECT_EQ(fs->frag_store().fragment_if_intact(ov("k"), 0), nullptr);
 }
 
+TEST_F(FsTest, ResentStoreIsCheckedAgainstTheHeldCopy) {
+  // The proxy re-sends stores when the second data center decides (Fig 2),
+  // so a held fragment arrives again. An identical resend is acked; one
+  // whose bytes no longer match the digest is still rejected, and the held
+  // copy stays as it was.
+  const Bytes value = tc.make_value(4096);
+  const auto frags = codec->encode(value);
+  const auto req = store_req(ov("k"), complete_meta(value.size()), 0, frags);
+  deliver(fs->id(), MessageType::kStoreFragmentReq, wire::encode(req));
+  deliver(fs->id(), MessageType::kStoreFragmentReq, wire::encode(req));
+  auto bad = req;
+  bad.fragment[0] ^= 0xff;  // corrupted in transit, digest intact
+  deliver(fs->id(), MessageType::kStoreFragmentReq, wire::encode(bad));
+  auto reps =
+      probe.decode_all<wire::StoreFragmentRep>(MessageType::kStoreFragmentRep);
+  ASSERT_EQ(reps.size(), 3u);
+  EXPECT_EQ(reps[0].status, wire::Status::kSuccess);
+  EXPECT_EQ(reps[1].status, wire::Status::kSuccess);
+  EXPECT_EQ(reps[2].status, wire::Status::kFailure);
+  const storage::StoredFragment* held =
+      fs->frag_store().fragment_if_intact(ov("k"), 0);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->data, frags[0]);
+}
+
 TEST_F(FsTest, RetrieveMissingFragmentRepliesBottom) {
   deliver(fs->id(), MessageType::kRetrieveFragReq,
           wire::encode(wire::RetrieveFragReq{ov("k"), 0}));

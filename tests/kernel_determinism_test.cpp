@@ -1,15 +1,17 @@
-// Determinism lock-down for the GF(2^8) kernel dispatch: the whole
-// simulation's output must not depend on which mul_acc kernel ran. A
-// `run_many` sweep executed under the scalar kernel and under the best
-// available SIMD kernel must produce byte-identical RunResult digests for
-// any --jobs (reusing the jobs-identity machinery of parallel_sweep_test) —
-// the only permitted difference is the erasure_kernel_runs_total metric
-// label, which records which path a run took.
+// Determinism lock-down for the kernel dispatches: the whole simulation's
+// output must not depend on which GF(2^8) mul_acc kernel or which SHA-256
+// block-compression kernel ran. A `run_many` sweep executed under the
+// scalar kernel and under the best available SIMD one must produce
+// byte-identical RunResult digests for any --jobs (reusing the
+// jobs-identity machinery of parallel_sweep_test) — the only permitted
+// difference is the erasure_kernel_runs_total metric label, which records
+// which mul_acc path a run took.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
+#include "common/sha256.h"
 #include "core/harness.h"
 #include "erasure/gf256.h"
 #include "test_util.h"
@@ -22,7 +24,10 @@ using testing::digest;
 using testing::metrics_modulo_kernel;
 
 struct KernelGuard {
-  ~KernelGuard() { gf256::reset_kernel(); }
+  ~KernelGuard() {
+    gf256::reset_kernel();
+    sha256::reset_kernel();
+  }
 };
 
 /// Everything observable about one run, rendered byte-exactly.
@@ -105,6 +110,38 @@ TEST(KernelDeterminism, RunManyDigestIdenticalScalarVsSimdForAnyJobs) {
         std::string("counter erasure_kernel_runs_total{kernel=") +
         gf256::to_string(best) + "} 4\n";
     EXPECT_NE(simd.metrics.to_text().find(expected_line), std::string::npos)
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(KernelDeterminism, RunResultDigestIdenticalScalarVsShaNi) {
+  KernelGuard guard;
+  if (sha256::best_kernel() == sha256::Kernel::kScalar) {
+    GTEST_SKIP() << "no SHA-NI kernel available on this host";
+  }
+  const core::RunConfig config = small_config();
+  for (uint64_t seed : {1ull, 7ull}) {
+    core::RunConfig c = config;
+    c.seed = seed;
+    sha256::force_kernel(sha256::Kernel::kScalar);
+    const std::string scalar_digest = digest(core::run_experiment(c));
+    sha256::force_kernel(sha256::Kernel::kShaNi);
+    const std::string shani_digest = digest(core::run_experiment(c));
+    EXPECT_EQ(scalar_digest, shani_digest) << "seed " << seed;
+  }
+}
+
+TEST(KernelDeterminism, RunManyDigestIdenticalScalarVsShaNiForAnyJobs) {
+  KernelGuard guard;
+  if (sha256::best_kernel() == sha256::Kernel::kScalar) {
+    GTEST_SKIP() << "no SHA-NI kernel available on this host";
+  }
+  const core::RunConfig config = small_config();
+  sha256::force_kernel(sha256::Kernel::kScalar);
+  const std::string scalar_digest = digest(core::run_many(config, 4, 42, 1));
+  sha256::force_kernel(sha256::Kernel::kShaNi);
+  for (int jobs : {1, 2}) {
+    EXPECT_EQ(digest(core::run_many(config, 4, 42, jobs)), scalar_digest)
         << "jobs=" << jobs;
   }
 }

@@ -133,6 +133,32 @@ TEST(Prof, DigestIdenticalProfilingOnVsOffForAnyJobs) {
   }
 }
 
+TEST(Prof, FailureFreePutHashesEachFragmentOncePerHop) {
+  // Fragment digests are named by kernel ("sha256[shani]"). A failure-free
+  // put hashes each of its n fragments twice: once at the proxy, once by
+  // the FS that verifies it on arrival and stores it as known-intact. The
+  // store the proxy re-sends when the second data center decides (Fig 2)
+  // matches that copy and is not hashed again, nor do convergence and the
+  // audit hash an untouched fragment.
+  ProfGuard guard;
+  core::RunConfig config = core::paper_default_config();
+  config.workload.num_puts = 5;
+  config.workload.get_fraction = 0;
+  config.seed = 5;
+  obs::prof::set_enabled(true);
+  const core::RunResult result = core::run_experiment(config);
+  obs::prof::set_enabled(false);
+  ASSERT_EQ(result.puts_acked, 5u);
+  uint64_t hashes = 0;
+  for (const obs::ProfPhase& p : result.profile.phases) {
+    if (p.name.rfind("sha256[", 0) == 0) hashes += p.calls;
+  }
+  const uint64_t fragments =
+      static_cast<uint64_t>(config.workload.num_puts) *
+      static_cast<uint64_t>(config.workload.policy.n);
+  EXPECT_EQ(hashes, 2 * fragments);
+}
+
 TEST(Prof, MergeSumsMatchingRows) {
   obs::ProfReport a;
   a.phases.push_back({"", "x", 1, 100, 60});

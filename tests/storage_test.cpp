@@ -148,6 +148,32 @@ TEST(FragStoreTest, CorruptFragmentReadsAsBottom) {
   EXPECT_EQ(store.corrupt_fragments(ov("k", 1)), (std::vector<int>{3}));
 }
 
+TEST(FragStoreTest, PutSeedsIntactCacheAndFaultsStillInvalidateIt) {
+  // put_fragment trusts its caller's digest (the precondition is
+  // digest == SHA-256(data)), so a fragment reads intact without being
+  // hashed again: even one stored under a wrong digest reads intact until a
+  // fault touches it. corrupt_fragment and destroy_disk must still show.
+  FragStore store;
+  const Bytes data = frag_data();
+  store.put_fragment(ov("k", 1), meta_with({}), 0, data, Sha256::hash(data),
+                     0);
+  store.put_fragment(ov("k", 1), meta_with({}), 1, data, Sha256::Digest{}, 1);
+  ASSERT_NE(store.fragment_if_intact(ov("k", 1), 0), nullptr);
+  ASSERT_NE(store.fragment_if_intact(ov("k", 1), 1), nullptr);
+  EXPECT_TRUE(store.corrupt_fragments(ov("k", 1)).empty());
+
+  ASSERT_TRUE(store.corrupt_fragment(ov("k", 1), 0));
+  EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 0), nullptr);
+  EXPECT_EQ(store.corrupt_fragments(ov("k", 1)), (std::vector<int>{0}));
+  // Flipping the same byte back restores the bytes, and the re-hash sees it.
+  ASSERT_TRUE(store.corrupt_fragment(ov("k", 1), 0));
+  EXPECT_NE(store.fragment_if_intact(ov("k", 1), 0), nullptr);
+
+  EXPECT_EQ(store.destroy_disk(1), 1u);
+  EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 1), nullptr);
+  EXPECT_TRUE(store.corrupt_fragments(ov("k", 1)).empty());
+}
+
 TEST(FragStoreTest, CorruptMissingFragmentReturnsFalse) {
   FragStore store;
   EXPECT_FALSE(store.corrupt_fragment(ov("k", 1), 0));
