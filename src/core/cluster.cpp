@@ -176,13 +176,12 @@ Sha256::Digest Cluster::state_digest() const {
   }
   for (const auto& fs : fss_) {
     w.u32(fs->id().value);
-    const auto versions = fs->frag_store().all_versions();
-    w.u32(static_cast<uint32_t>(versions.size()));
-    for (const ObjectVersionId& ov : versions) {
+    const auto& entries = fs->frag_store().entries();
+    w.u32(static_cast<uint32_t>(entries.size()));
+    for (const auto& [ov, entry] : entries) {
       wire::encode(w, ov);
-      const storage::FragStore::Entry* entry = fs->frag_store().find(ov);
-      w.u32(static_cast<uint32_t>(entry->fragments.size()));
-      for (const auto& [slot, frag] : entry->fragments) {
+      w.u32(static_cast<uint32_t>(entry.fragments.size()));
+      for (const auto& [slot, frag] : entry.fragments) {
         w.u32(static_cast<uint32_t>(slot));
         w.u8(frag.disk);
         // Hash of the fragment content rather than the content itself

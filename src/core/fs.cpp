@@ -7,6 +7,17 @@
 
 namespace pahoehoe::core {
 
+namespace {
+
+/// The intact fragment at `slot` of `entry` (null: nothing stored), or null.
+const storage::StoredFragment* intact_at(const storage::FragStore::Entry* entry,
+                                         size_t slot) {
+  return entry == nullptr ? nullptr
+                          : entry->intact_fragment(static_cast<int>(slot));
+}
+
+}  // namespace
+
 FragmentServer::FragmentServer(sim::Simulator& sim, net::Network& net,
                                std::shared_ptr<const ClusterView> view,
                                NodeId id, DataCenterId dc,
@@ -47,10 +58,6 @@ const erasure::ReedSolomon& FragmentServer::codec(const Policy& policy) {
   return *it->second;
 }
 
-FragmentServer::Work& FragmentServer::work_for(const ObjectVersionId& ov) {
-  return work_[ov];
-}
-
 SimTime FragmentServer::version_age(const ObjectVersionId& ov) const {
   return std::max<SimTime>(0, sim_.now() - ov.ts.wall_micros);
 }
@@ -75,10 +82,11 @@ bool FragmentServer::durable_class(const ObjectVersionId& ov, Work* work) {
   // plus anything a recovery attempt has gathered.
   const Metadata* meta = store_meta_.find(ov);
   if (meta == nullptr) return false;
+  const storage::FragStore::Entry* entry = store_frag_.find(ov);
   std::vector<int> intact;
-  for (int slot : meta->fragments_for(id())) {
-    if (store_frag_.fragment_if_intact(ov, slot) != nullptr) {
-      intact.push_back(slot);
+  for (size_t slot = 0; slot < meta->locs.size(); ++slot) {
+    if (hosts(*meta, slot) && intact_at(entry, slot) != nullptr) {
+      intact.push_back(static_cast<int>(slot));
     }
   }
   for (const auto& [slot, data] : work->gathered) intact.push_back(slot);
@@ -114,32 +122,40 @@ void FragmentServer::bump_backoff(Work& work) {
   work.next_attempt = sim_.now() + static_cast<SimTime>(delay * jitter);
 }
 
+bool FragmentServer::hosts(const Metadata& meta, size_t slot) const {
+  return meta.locs[slot].has_value() && meta.locs[slot]->fs == id();
+}
+
+bool FragmentServer::local_intact(const Metadata& meta,
+                                  const storage::FragStore::Entry* entry) const {
+  for (size_t slot = 0; slot < meta.locs.size(); ++slot) {
+    if (hosts(meta, slot) && intact_at(entry, slot) == nullptr) return false;
+  }
+  return true;
+}
+
 bool FragmentServer::local_verify(const ObjectVersionId& ov) const {
+  const storage::FragStore::Entry* entry = store_frag_.find(ov);
   const Metadata* meta = store_meta_.find(ov);
   if (meta == nullptr) {
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
     if (entry == nullptr) return false;
     meta = &entry->meta;
   }
-  if (!meta->complete()) return false;
-  for (int slot : meta->fragments_for(id())) {
-    if (store_frag_.fragment_if_intact(ov, slot) == nullptr) return false;
-  }
-  return true;
+  return meta->complete() && local_intact(*meta, entry);
 }
 
 std::vector<int> FragmentServer::missing_local_fragments(
     const ObjectVersionId& ov) const {
   std::vector<int> missing;
+  const storage::FragStore::Entry* entry = store_frag_.find(ov);
   const Metadata* meta = store_meta_.find(ov);
   if (meta == nullptr) {
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
     if (entry == nullptr) return missing;
     meta = &entry->meta;
   }
-  for (int slot : meta->fragments_for(id())) {
-    if (store_frag_.fragment_if_intact(ov, slot) == nullptr) {
-      missing.push_back(slot);
+  for (size_t slot = 0; slot < meta->locs.size(); ++slot) {
+    if (hosts(*meta, slot) && intact_at(entry, slot) == nullptr) {
+      missing.push_back(static_cast<int>(slot));
     }
   }
   return missing;
@@ -172,8 +188,7 @@ void FragmentServer::merge_meta(const ObjectVersionId& ov,
     // FS retrying at full cadence forever.
     it->second.next_attempt = std::min(it->second.next_attempt, sim_.now());
   }
-  telemetry().spans.report_work(ov, id(), it->second.next_attempt,
-                                it->second.recovering);
+  note_work(ov, it->second);
   ensure_round_scheduled();
 }
 
@@ -181,9 +196,37 @@ void FragmentServer::wake_work(const ObjectVersionId& ov) {
   auto it = work_.find(ov);
   if (it == work_.end()) return;
   it->second.next_attempt = std::min(it->second.next_attempt, sim_.now());
-  telemetry().spans.report_work(ov, id(), it->second.next_attempt,
-                                it->second.recovering);
+  note_work(ov, it->second);
   ensure_round_scheduled();
+}
+
+void FragmentServer::note_work(const ObjectVersionId& ov, Work& work,
+                               const char* note) {
+  telemetry().spans.report_work(ov, id(), work.next_attempt, work.recovering,
+                                note);
+  if (work.recovering) {
+    // Out of the index until the recovery resolves and re-keys it.
+    if (work.eligible.has_value()) {
+      eligible_.erase(*work.eligible);
+      work.eligible.reset();
+    }
+    return;
+  }
+  const SimTime key = std::max(ov.ts.wall_micros + options_.effective_min_age(),
+                               work.next_attempt);
+  if (!work.eligible.has_value()) {
+    work.eligible = eligible_.emplace(key, ov).first;
+  } else if ((*work.eligible)->first != key) {
+    // Re-key in place: the node (and its ObjectVersionId) is reused.
+    auto node = eligible_.extract(*work.eligible);
+    node.value().first = key;
+    work.eligible = eligible_.insert(std::move(node)).position;
+  }
+}
+
+void FragmentServer::erase_work(std::map<ObjectVersionId, Work>::iterator it) {
+  if (it->second.eligible.has_value()) eligible_.erase(*it->second.eligible);
+  work_.erase(it);
 }
 
 void FragmentServer::store_fragment_local(const ObjectVersionId& ov,
@@ -234,21 +277,11 @@ void FragmentServer::ensure_round_scheduled() {
   }
   // If every pending version is waiting on backoff or min-age, skip the
   // no-op rounds and wake when the earliest version becomes eligible.
-  SimTime earliest = std::numeric_limits<SimTime>::max();
-  for (const ObjectVersionId& ov : store_meta_.all_versions()) {
-    SimTime eligible = ov.ts.wall_micros + options_.effective_min_age();
-    auto it = work_.find(ov);
-    if (it != work_.end()) {
-      if (it->second.recovering) continue;  // will re-arm when it resolves
-      eligible = std::max(eligible, it->second.next_attempt);
-    }
-    earliest = std::min(earliest, eligible);
-  }
-  if (earliest == std::numeric_limits<SimTime>::max()) {
+  if (eligible_.empty()) {
     // Everything is mid-recovery; those paths re-arm the timer themselves.
     return;
   }
-  when = std::max(when, earliest);
+  when = std::max(when, eligible_.begin()->first);
   if (round_timer_ != 0) {
     // Keep the earlier of the existing and newly computed round times, so
     // fresh work pulls a far-skipped round back in without letting message
@@ -260,13 +293,33 @@ void FragmentServer::ensure_round_scheduled() {
   round_timer_ = sim_.schedule_at(when, [this] { start_round(); });
 }
 
+std::optional<SimTime> FragmentServer::indexed_earliest_for_test() const {
+  if (eligible_.empty()) return std::nullopt;
+  return eligible_.begin()->first;
+}
+
+std::optional<SimTime> FragmentServer::scanned_earliest_for_test() const {
+  std::optional<SimTime> earliest;
+  for (const ObjectVersionId& ov : store_meta_.all_versions()) {
+    SimTime eligible = ov.ts.wall_micros + options_.effective_min_age();
+    auto it = work_.find(ov);
+    if (it != work_.end()) {
+      if (it->second.recovering) continue;
+      eligible = std::max(eligible, it->second.next_attempt);
+    }
+    if (!earliest.has_value() || eligible < *earliest) earliest = eligible;
+  }
+  return earliest;
+}
+
 void FragmentServer::start_round() {
   obs::ProfScope prof("fs_round");
   round_timer_ = 0;
   m_rounds_->inc();
   // Fig 4: a convergence step for every object version not yet verified AMR.
   for (const ObjectVersionId& ov : store_meta_.all_versions()) {
-    Work& work = work_for(ov);
+    const auto wit = work_.try_emplace(ov).first;
+    Work& work = wit->second;
     if (work.recovering) continue;  // a recovery for this version is active
     if (sim_.now() < work.next_attempt) continue;
     if (version_age(ov) < options_.effective_min_age()) continue;
@@ -277,7 +330,7 @@ void FragmentServer::start_round() {
       // horizon above, so anything dropped here is non-durable-class.
       const bool durable = durable_class(ov, &work);
       store_meta_.erase(ov);
-      work_.erase(ov);
+      erase_work(wit);
       m_giveups_->inc();
       given_up_versions_.push_back(ov);
       telemetry().spans.interval(ov, "give_up", id(), sim_.now(), sim_.now(),
@@ -308,8 +361,8 @@ void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
         spans.version_scope(ov, "converge_round", id(),
                             "attempt " + std::to_string(work.attempts));
     spans.interval(ov, "backoff_wait", id(), sim_.now(), work.next_attempt);
-    spans.report_work(ov, id(), work.next_attempt, work.recovering);
   }
+  note_work(ov, work);
 
   if (!meta->complete()) {
     // Fig 4 line 5: incomplete metadata — act like a proxy doing a put, but
@@ -363,7 +416,7 @@ void FragmentServer::begin_plain_recovery(const ObjectVersionId& ov,
   const Metadata& meta = *store_meta_.find(ov);
   work.recovering = true;
   work.plain_recovery = true;
-  telemetry().spans.report_work(ov, id(), work.next_attempt, true, "plain");
+  note_work(ov, work, "plain");
   work.gathered.clear();
   work.requested_slots.clear();
   work.failed_slots.clear();
@@ -395,7 +448,7 @@ void FragmentServer::begin_sibling_recovery(const ObjectVersionId& ov,
   work.recovering = true;
   work.plain_recovery = false;
   m_sibling_recoveries_->inc();
-  telemetry().spans.report_work(ov, id(), work.next_attempt, true, "sibling");
+  note_work(ov, work, "sibling");
   work.gathered.clear();
   work.requested_slots.clear();
   work.failed_slots.clear();
@@ -557,8 +610,8 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
     telemetry().spans.interval(
         ov, "recovery_complete", id(), sim_.now(), sim_.now(),
         "regenerated=" + std::to_string(targets.size()));
-    telemetry().spans.report_work(ov, id(), work.next_attempt, false);
   }
+  note_work(ov, work);
   ensure_round_scheduled();
 }
 
@@ -628,8 +681,8 @@ void FragmentServer::cancel_recovery(const ObjectVersionId& ov, Work& work) {
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(ov, "recovery_canceled", id(), sim_.now(),
                                sim_.now());
-    telemetry().spans.report_work(ov, id(), work.next_attempt, false);
   }
+  note_work(ov, work);
   ensure_round_scheduled();
 }
 
@@ -655,8 +708,8 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
   if (wit != work_.end()) {
     clear_recovery_state(wit->second);
     m_converge_attempts_->observe(wit->second.attempts);
+    erase_work(wit);
   }
-  work_.erase(ov);
   store_meta_.erase(ov);
   m_converged_->inc();
   if (options_.giveup_age_durable >= 0) amr_history_.insert(ov);
@@ -733,8 +786,7 @@ void FragmentServer::on_fs_converge(NodeId from,
     m_collisions_->inc();
     cancel_recovery(req.ov, wit->second);
     bump_backoff(wit->second);
-    telemetry().spans.report_work(req.ov, id(), wit->second.next_attempt,
-                                  false);
+    note_work(req.ov, wit->second);
   }
 
   wire::FsConvergeRep rep;
@@ -767,7 +819,7 @@ void FragmentServer::on_fs_converge_rep(NodeId from,
       m_collisions_->inc();
       cancel_recovery(rep.ov, work);
       bump_backoff(work);
-      telemetry().spans.report_work(rep.ov, id(), work.next_attempt, false);
+      note_work(rep.ov, work);
       return;
     }
   }
@@ -806,7 +858,7 @@ void FragmentServer::on_amr_indication(const wire::AmrIndication& msg) {
   auto wit = work_.find(msg.ov);
   if (wit != work_.end()) {
     clear_recovery_state(wit->second);
-    work_.erase(wit);
+    erase_work(wit);
   }
   store_meta_.erase(msg.ov);
   if (options_.giveup_age_durable >= 0) amr_history_.insert(msg.ov);
@@ -873,9 +925,8 @@ bool FragmentServer::corrupt_fragment(const ObjectVersionId& ov,
 
 bool FragmentServer::corrupt_random_fragment(Rng& rng) {
   std::vector<std::pair<ObjectVersionId, int>> stored;
-  for (const ObjectVersionId& ov : store_frag_.all_versions()) {
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
-    for (const auto& [index, frag] : entry->fragments) {
+  for (const auto& [ov, entry] : store_frag_.entries()) {
+    for (const auto& [index, frag] : entry.fragments) {
       if (!frag.data.empty()) stored.emplace_back(ov, index);
     }
   }
@@ -902,7 +953,7 @@ void FragmentServer::schedule_scrub() {
 size_t FragmentServer::scrub() {
   obs::ProfScope prof("fs_scrub");
   size_t readded = 0;
-  for (const ObjectVersionId& ov : store_frag_.all_versions()) {
+  for (const auto& [ov, entry] : store_frag_.entries()) {
     if (store_meta_.contains(ov)) continue;
     // Honor the give-up horizon (§3.5): resurrecting a version convergence
     // already gave up on would livelock scrub against give-up. Past the
@@ -910,18 +961,9 @@ size_t FragmentServer::scrub() {
     // With per-class horizons, versions in the AMR history get the durable
     // horizon, so scrub repairs arbitrarily old AMR-eligible versions.
     if (version_age(ov) > giveup_horizon(ov, nullptr)) continue;
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
-    bool damaged = false;
-    for (int slot : entry->meta.fragments_for(id())) {
-      if (store_frag_.fragment_if_intact(ov, slot) == nullptr) {
-        damaged = true;
-        break;
-      }
-    }
-    if (!damaged) continue;
-    store_meta_.merge(ov, entry->meta);
-    work_.try_emplace(ov);
-    telemetry().spans.report_work(ov, id(), 0, false);
+    if (local_intact(entry.meta, &entry)) continue;
+    store_meta_.merge(ov, entry.meta);
+    note_work(ov, work_.try_emplace(ov).first->second);
     // The class note mirrors give_up's: coverage classifies a re-add as
     // "past the give-up window" against the class's own horizon, so a
     // durable-class repair of an arbitrarily old AMR version (the whole
@@ -955,13 +997,13 @@ void FragmentServer::on_crash() {
     telemetry().spans.report_work_done(ov, id());
   }
   work_.clear();
+  eligible_.clear();
 }
 
 void FragmentServer::on_recover() {
   // Rebuild the volatile work map from the persistent work-list.
   for (const ObjectVersionId& ov : store_meta_.all_versions()) {
-    work_.try_emplace(ov);
-    telemetry().spans.report_work(ov, id(), 0, false);
+    note_work(ov, work_.try_emplace(ov).first->second);
   }
   ensure_round_scheduled();
   schedule_scrub();

@@ -20,7 +20,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -64,12 +66,24 @@ class FragmentServer : public Server {
   /// Convergence work outstanding (work-list size).
   size_t pending_versions() const { return store_meta_.size(); }
 
+  /// Test-only probes of the round timer's eligibility index: the earliest
+  /// time a work-list version not mid-recovery becomes eligible, read from
+  /// the index, and the same value recomputed by scanning the whole
+  /// work-list. Both are nullopt when no version qualifies; they agree
+  /// whenever the FS is up.
+  std::optional<SimTime> indexed_earliest_for_test() const;
+  std::optional<SimTime> scanned_earliest_for_test() const;
+
  protected:
   void dispatch(const wire::Envelope& env) override;
   void on_crash() override;
   void on_recover() override;
 
  private:
+  /// (eligible time, version) for every work-list version not mid-recovery;
+  /// the round timer reads its first element.
+  using EligibilityIndex = std::set<std::pair<SimTime, ObjectVersionId>>;
+
   /// Volatile per-version convergence state.
   struct Work {
     SimTime next_attempt = 0;
@@ -94,6 +108,8 @@ class FragmentServer : public Server {
     // cluster lost it).
     std::set<int> certified_slots;
     bool durable_evidence = false;
+    // This version's element of eligible_; empty while recovering.
+    std::optional<EligibilityIndex::iterator> eligible;
   };
 
   // Message handlers.
@@ -130,6 +146,19 @@ class FragmentServer : public Server {
                   bool create_work);
   /// Make the version eligible at the next round (progress was observed).
   void wake_work(const ObjectVersionId& ov);
+  /// Re-key the version in eligible_ after a change to its next_attempt or
+  /// recovering flag, and report the work to the span tracer. Every such
+  /// change calls this before the next ensure_round_scheduled().
+  void note_work(const ObjectVersionId& ov, Work& work,
+                 const char* note = "");
+  /// Erase the version's work entry and its index element.
+  void erase_work(std::map<ObjectVersionId, Work>::iterator it);
+  /// Whether this FS is the decided location of `meta`'s `slot`.
+  bool hosts(const Metadata& meta, size_t slot) const;
+  /// Every slot of `meta` this FS hosts holds an intact fragment in `entry`
+  /// (null: nothing stored).
+  bool local_intact(const Metadata& meta,
+                    const storage::FragStore::Entry* entry) const;
   /// verify() from Fig 4: metadata complete and all locally assigned
   /// fragments present and intact.
   bool local_verify(const ObjectVersionId& ov) const;
@@ -161,7 +190,6 @@ class FragmentServer : public Server {
   /// revoked and must be re-earned.
   void revoke_durable_evidence(const ObjectVersionId& ov, Work& work);
   const erasure::ReedSolomon& codec(const Policy& policy);
-  Work& work_for(const ObjectVersionId& ov);
 
   ConvergenceOptions options_;
   storage::MetaStore store_meta_;   // persistent: convergence work-list
@@ -170,6 +198,7 @@ class FragmentServer : public Server {
   void schedule_scrub();
 
   std::map<ObjectVersionId, Work> work_;  // volatile
+  EligibilityIndex eligible_;             // volatile, keyed from work_
   sim::TimerId round_timer_ = 0;
   SimTime round_timer_when_ = 0;
   sim::TimerId scrub_timer_ = 0;

@@ -185,16 +185,19 @@ void Proxy::on_decide_locs_rep(const wire::DecideLocsRep& rep) {
   for (NodeId kls : view_->all_kls) {
     send(kls, wire::StoreMetadataReq{op.ov, op.meta});
   }
+  // One request, re-aimed per slot. Each fragment is lent to it for the
+  // encode inside send() and handed back: a later round re-sends it.
+  wire::StoreFragmentReq req;
+  req.ov = op.ov;
+  req.meta = op.meta;
   for (size_t slot = 0; slot < op.meta.locs.size(); ++slot) {
     const auto& loc = op.meta.locs[slot];
     if (!loc.has_value()) continue;
-    wire::StoreFragmentReq req;
-    req.ov = op.ov;
-    req.meta = op.meta;
     req.frag_index = static_cast<uint16_t>(slot);
-    req.fragment = op.fragments[slot];
+    req.fragment = std::move(op.fragments[slot]);
     req.digest = op.digests[slot];
     send(loc->fs, req);
+    op.fragments[slot] = std::move(req.fragment);
   }
 }
 

@@ -166,11 +166,11 @@ void Network::send(NodeId from, NodeId to, wire::MessageType type,
   const bool duplicate =
       duplication_rate_ > 0.0 && sim_.rng().chance(duplication_rate_);
   const int copies = duplicate ? 2 : 1;
+  // The envelope moves into one allocation that every delivery shares, so
+  // neither the send nor a duplicated delivery copies a fragment payload.
+  const auto shared = std::make_shared<const wire::Envelope>(std::move(env));
   for (int i = 0; i < copies; ++i) {
     const SimTime latency = sample_latency();
-    // The envelope is shared by reference count so a duplicated delivery
-    // does not copy a fragment payload.
-    auto shared = std::make_shared<wire::Envelope>(env);
     sim_.schedule_after(latency, [this, shared] { deliver(*shared); });
   }
 }

@@ -102,13 +102,16 @@ void FragStore::put_fragment(const ObjectVersionId& ov, const Metadata& meta,
   entry.fragments[frag_index] = std::move(frag);
 }
 
+const StoredFragment* FragStore::Entry::intact_fragment(int frag_index) const {
+  auto it = fragments.find(frag_index);
+  if (it == fragments.end()) return nullptr;
+  return it->second.intact() ? &it->second : nullptr;
+}
+
 const StoredFragment* FragStore::fragment_if_intact(const ObjectVersionId& ov,
                                                     int frag_index) const {
   const Entry* entry = find(ov);
-  if (entry == nullptr) return nullptr;
-  auto it = entry->fragments.find(frag_index);
-  if (it == entry->fragments.end()) return nullptr;
-  return it->second.intact() ? &it->second : nullptr;
+  return entry == nullptr ? nullptr : entry->intact_fragment(frag_index);
 }
 
 size_t FragStore::destroy_disk(uint8_t disk) {
@@ -143,16 +146,6 @@ std::vector<int> FragStore::corrupt_fragments(const ObjectVersionId& ov) const {
   if (entry == nullptr) return out;
   for (const auto& [index, frag] : entry->fragments) {
     if (!frag.intact()) out.push_back(index);
-  }
-  return out;
-}
-
-std::vector<ObjectVersionId> FragStore::all_versions() const {
-  std::vector<ObjectVersionId> out;
-  out.reserve(by_ov_.size());
-  for (const auto& [ov, entry] : by_ov_) {
-    (void)entry;
-    out.push_back(ov);
   }
   return out;
 }

@@ -84,6 +84,9 @@ class FragStore {
   struct Entry {
     Metadata meta;
     std::map<int, StoredFragment> fragments;
+
+    /// The fragment at `frag_index` if present *and* intact, else nullptr.
+    const StoredFragment* intact_fragment(int frag_index) const;
   };
 
   /// Fetch-or-create the entry for `ov`, initializing metadata from `meta`
@@ -118,7 +121,8 @@ class FragStore {
   /// Scrub: indices of stored-but-corrupt fragments for `ov`.
   std::vector<int> corrupt_fragments(const ObjectVersionId& ov) const;
 
-  std::vector<ObjectVersionId> all_versions() const;
+  /// Every entry, in version order.
+  const std::map<ObjectVersionId, Entry>& entries() const { return by_ov_; }
 
  private:
   std::map<ObjectVersionId, Entry> by_ov_;

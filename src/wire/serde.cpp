@@ -4,6 +4,10 @@ namespace pahoehoe::wire {
 
 namespace {
 constexpr size_t kMaxLengthPrefix = 1u << 30;  // 1 GiB sanity bound
+// Room reserved past a byte string for the fields that follow it (a
+// fragment is trailed by its 32-byte digest), so appending them does not
+// reallocate and copy the payload again.
+constexpr size_t kTailRoom = 64;
 }
 
 void Writer::u8(uint8_t v) { out_.push_back(v); }
@@ -26,6 +30,7 @@ void Writer::i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
 void Writer::boolean(bool v) { u8(v ? 1 : 0); }
 
 void Writer::bytes(const Bytes& v) {
+  out_.reserve(out_.size() + 4 + v.size() + kTailRoom);
   u32(static_cast<uint32_t>(v.size()));
   out_.insert(out_.end(), v.begin(), v.end());
 }

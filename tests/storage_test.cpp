@@ -219,11 +219,12 @@ TEST(FragStoreTest, UpsertFillsValueSize) {
   EXPECT_EQ(store.find(ov("k", 1))->meta.value_size, 555u);
 }
 
-TEST(FragStoreTest, AllVersionsEnumerates) {
+TEST(FragStoreTest, EntriesEnumerateInVersionOrder) {
   FragStore store;
-  store.upsert(ov("a", 1), meta_with({}));
   store.upsert(ov("b", 1), meta_with({}));
-  EXPECT_EQ(store.all_versions().size(), 2u);
+  store.upsert(ov("a", 1), meta_with({}));
+  ASSERT_EQ(store.entries().size(), 2u);
+  EXPECT_EQ(store.entries().begin()->first.key.value, "a");
   EXPECT_EQ(store.size(), 2u);
 }
 
